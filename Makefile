@@ -6,8 +6,11 @@
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for
-# ~10s over its corpus (dates.ParseDate and the /v1/batch decode path);
-# `make bench-smoke` runs the tiles before/after experiment at a tiny
+# ~10s over its corpus (dates.ParseDate, the /v1/batch decode path, the
+# flat /v1/batch decoder against the stock one, and the NRT snapshot
+# decoder); `make perfbench` vets and tests the nested perfbench
+# module, which the root `go test ./...` does not reach, so a server
+# API change that breaks the benchmark fails CI; `make bench-smoke` runs the tiles before/after experiment at a tiny
 # sample (plain, then through the startup autotuner) so CI catches
 # harness regressions without paying benchmark time; `make
 # bench-compare` diffs two bfast-bench JSON reports per strategy with a
@@ -29,9 +32,9 @@ GO ?= go
 FUZZTIME ?= 10s
 TOL ?= 10
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke perfbench vulncheck vulncheck-ci bench bench-smoke bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
-ci: lint lint-selfcheck build race test fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
+ci: lint lint-selfcheck build race test perfbench fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
 
 lint: vet fmt-check bfast-lint
 
@@ -61,6 +64,11 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDate -fuzztime=$(FUZZTIME) ./internal/dates/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzBatchFlatDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
+
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # vulncheck is advisory locally: govulncheck is not vendored, so the
 # target reports and succeeds when the tool (or network) is

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -87,26 +88,37 @@ func (r *DetectRequest) options() core.Options {
 // request must not pin its buffer in the pool forever.
 const maxPooledBody = 1 << 20
 
-// readBody drains the request body into a pooled buffer, presized from
-// Content-Length when the client declared one. Decoding copies every
-// value out of the raw bytes, so the buffer goes back to the pool as
-// soon as decodeRequest returns.
+// readBody drains the request body into a pooled buffer. A declared
+// Content-Length presizes it (up to maxPooledBody, so a client cannot
+// make the server allocate what it never sends) and clamps every later
+// growth; growth doubles, so the buffer never holds more than twice the
+// bytes received. Decoding copies every value out of the raw bytes, so
+// the buffer goes back to the pool as soon as decoding returns.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
-	size := 512
-	if r.ContentLength > 0 && r.ContentLength < maxPooledBody {
-		size = int(r.ContentLength) + 1
+	size, limit := 512, 0
+	if r.ContentLength > 0 {
+		limit = int(min(r.ContentLength, s.cfg.MaxBodyBytes)) + 1
+		size = min(limit, maxPooledBody)
 	}
 	var buf []byte
 	if v := s.bodyPool.Get(); v != nil {
 		buf = (*v.(*[]byte))[:0]
 	}
 	if cap(buf) < size {
+		s.putBodyBuf(buf)
 		buf = make([]byte, 0, size)
 	}
 	src := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			c := 2 * cap(buf)
+			if limit > cap(buf) {
+				c = min(c, limit)
+			}
+			grown := make([]byte, len(buf), c)
+			copy(grown, buf)
+			s.putBodyBuf(buf)
+			buf = grown
 		}
 		n, err := src.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -146,35 +158,153 @@ func (s *Server) putPackBuf(b []float64) {
 	s.packPool.Put(&b)
 }
 
-// decodeRequest parses and bounds the body. The decode span lands on
-// the request's trace so oversized-JSON cost is visible next to kernel
-// cost. Well-formed bodies take the single-scan fast path (see
+// readRequestBody is readBody with read failures mapped to their API
+// errors; the caller returns raw with putBodyBuf.
+func (s *Server) readRequestBody(r *http.Request) ([]byte, *apiError) {
+	raw, err := s.readBody(r)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return raw, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+		}
+		return raw, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	}
+	return raw, nil
+}
+
+// decodeRequest parses and bounds a single-series body. The decode span
+// lands on the request's trace so oversized-JSON cost is visible next to
+// kernel cost. Well-formed bodies take the single-scan fast path (see
 // reqjson.go); everything else re-parses with the stock decoder so
 // accept/reject behavior and error text never diverge from it.
 func (s *Server) decodeRequest(r *http.Request) (*DetectRequest, *apiError) {
 	_, sp := obs.StartSpan(r.Context(), "decode")
 	sp.SetAttr("bytes", r.ContentLength)
 	defer sp.End()
-	raw, err := s.readBody(r)
+	raw, apiErr := s.readRequestBody(r)
 	defer s.putBodyBuf(raw)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	if apiErr != nil {
+		return nil, apiErr
 	}
 	if req, ok := parseDetectRequest(raw); ok {
 		return &req, nil
 	}
-	var req DetectRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := stockDecode(raw)
+	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
 	}
 	return &req, nil
+}
+
+// stockDecode is the stock decoder every fast path falls back to.
+func stockDecode(raw []byte) (DetectRequest, error) {
+	var req DetectRequest
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// batchInput is a decoded /v1/batch body: the options, and the pixels
+// as an m×n row-major pack buffer from getPackBuf once packed.
+type batchInput struct {
+	req  DetectRequest
+	flat []float64
+	m, n int
+}
+
+// decodeBatch reads and decodes a /v1/batch body under the decode span.
+func (s *Server) decodeBatch(r *http.Request) (*batchInput, *apiError) {
+	ctx, sp := obs.StartSpan(r.Context(), "decode")
+	sp.SetAttr("bytes", r.ContentLength)
+	defer sp.End()
+	raw, apiErr := s.readRequestBody(r)
+	defer s.putBodyBuf(raw)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	in, apiErr := s.decodeBatchBody(ctx, raw, 0)
+	sp.SetAttr("flat", in != nil && in.flat != nil)
+	return in, apiErr
+}
+
+// decodeBatchBody decodes a /v1/batch body in one pass straight into the
+// pack buffer: parseBatchRequest validates every field and locates the
+// pixel rows, the batch limits are checked before the m·n allocation,
+// and decodeRows parses the rows into the buffer (in parallel chunks for
+// large bodies; chunks > 0 forces the chunk count, see decodeRows). On
+// any deviation — a ragged row, nested arrays, a duplicate pixels key, a
+// declared n that differs, a limit exceeded, an escaped key — it returns
+// the buffer and decodes with the stock decoder instead, leaving flat
+// nil so packBatch validates and packs Pixels as it always has: status
+// codes and error text are the stock path's.
+func (s *Server) decodeBatchBody(ctx context.Context, raw []byte, chunks int) (*batchInput, *apiError) {
+	if req, rows, ok := parseBatchRequest(raw); ok && s.flatFits(&req, rows) {
+		flat := s.getPackBuf(rows.m * rows.n)
+		err := decodeRows(ctx, raw, rows, flat, s.cfg.Workers, chunks)
+		if err == nil {
+			return &batchInput{req: req, flat: flat, m: rows.m, n: rows.n}, nil
+		}
+		s.putPackBuf(flat)
+		if err != errRows {
+			return nil, ctxError(ctx, err)
+		}
+	}
+	req, err := stockDecode(raw)
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	}
+	return &batchInput{req: req}, nil
+}
+
+// flatFits reports whether the located rows pass every check packBatch
+// would run, so the flat path can never answer differently from it. The
+// last check is a size sanity bound: m rows of n values take at least
+// m·(2n+1) bytes, so a short body cannot claim a large buffer.
+func (s *Server) flatFits(req *DetectRequest, rows batchRows) bool {
+	return rows.m <= s.cfg.MaxBatchPixels && rows.n <= s.cfg.MaxSeriesLen &&
+		(req.N == nil || *req.N == rows.n) &&
+		rows.m*(2*rows.n+1) <= rows.hi-rows.lo+1
+}
+
+// packBatch completes a batchInput that the stock decoder produced:
+// framing and limit checks, then the copy of Pixels into a pack buffer.
+// A flat-decoded input is already packed. The caller recycles in.flat.
+func (s *Server) packBatch(in *batchInput) *apiError {
+	if in.flat != nil {
+		return nil
+	}
+	req := &in.req
+	if len(req.Pixels) == 0 {
+		return errf(http.StatusBadRequest, CodeInvalidArgument, "pixels is required")
+	}
+	if len(req.Pixels) > s.cfg.MaxBatchPixels {
+		return errf(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
+			"batch has %d pixels, limit is %d; split the request", len(req.Pixels), s.cfg.MaxBatchPixels)
+	}
+	n := len(req.Pixels[0])
+	if req.N != nil {
+		n = *req.N
+	}
+	if n > s.cfg.MaxSeriesLen {
+		return errf(http.StatusBadRequest, CodeInvalidArgument,
+			"series has %d dates, limit is %d", n, s.cfg.MaxSeriesLen)
+	}
+	m := len(req.Pixels)
+	in.m = m
+	flat := s.getPackBuf(m * n)
+	for i, p := range req.Pixels {
+		if len(p) != n {
+			s.putPackBuf(flat)
+			return errf(http.StatusBadRequest, CodeLengthMismatch,
+				"pixel %d has %d dates, expected %d", i, len(p), n)
+		}
+		copy(flat[i*n:(i+1)*n], p)
+	}
+	in.flat, in.n = flat, n
+	req.Pixels = nil
+	return nil
 }
 
 // checkSeries validates a single-series request's framing: presence, the
@@ -302,39 +432,19 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		arr = s.batcher.Arrive()
 		defer arr.Done()
 	}
-	req, apiErr := s.decodeRequest(r)
+	in, apiErr := s.decodeBatch(r)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	if len(req.Pixels) == 0 {
-		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "pixels is required")
-	}
-	if len(req.Pixels) > s.cfg.MaxBatchPixels {
-		return nil, errf(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-			"batch has %d pixels, limit is %d; split the request", len(req.Pixels), s.cfg.MaxBatchPixels)
-	}
-	n := len(req.Pixels[0])
-	if req.N != nil {
-		n = *req.N
-	}
-	if n > s.cfg.MaxSeriesLen {
-		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
-			"series has %d dates, limit is %d", n, s.cfg.MaxSeriesLen)
-	}
-	m := len(req.Pixels)
-	tr.Pixels = m
 	_, sp := obs.StartSpan(r.Context(), "pack")
-	flat := s.getPackBuf(m * n)
-	defer s.putPackBuf(flat)
-	for i, p := range req.Pixels {
-		if len(p) != n {
-			sp.End()
-			return nil, errf(http.StatusBadRequest, CodeLengthMismatch,
-				"pixel %d has %d dates, expected %d", i, len(p), n)
-		}
-		copy(flat[i*n:(i+1)*n], p)
-	}
+	apiErr = s.packBatch(in)
 	sp.End()
+	tr.Pixels = in.m
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	defer s.putPackBuf(in.flat)
+	req, flat, m, n := &in.req, in.flat, in.m, in.n
 	// The batched strategies (paper organization, PR 2 tiling) replace
 	// the per-pixel C-like baseline here; results are bit-identical
 	// (pinned by the equivalence tests) and the kernel-phase spans light

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -373,5 +374,42 @@ func TestRetryAfterConfigurable(t *testing.T) {
 	}
 	if got := mustServer(t, Config{}).Config().RetryAfterSeconds; got != 1 {
 		t.Fatalf("default RetryAfterSeconds = %d, want 1", got)
+	}
+}
+
+// TestReadBodyGrowth bounds what readBody allocates for a large body:
+// with a declared Content-Length it starts at up to 1 MiB and doubles,
+// clamped to the declared size; without one it doubles from 512 B.
+// Either way the total stays within a small multiple of the body (the
+// old append growth, ~1.25× per step, allocated about 5× it) and the
+// buffer it returns holds at most twice the bytes received.
+func TestReadBodyGrowth(t *testing.T) {
+	srv := mustServer(t, Config{TraceDepth: -1})
+	body := bytes.Repeat([]byte("0123456789,"), (10<<20)/11)
+	for _, tc := range []struct {
+		name     string
+		declared bool
+		factor   uint64
+	}{
+		{"declared", true, 3},
+		{"undeclared", false, 4},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		if !tc.declared {
+			req.ContentLength = -1
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		raw, err := srv.readBody(req)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(raw, body) {
+			t.Fatalf("%s: read %d of %d bytes, err %v", tc.name, len(raw), len(body), err)
+		}
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, tc.factor*uint64(len(body)); alloc > bound {
+			t.Fatalf("%s: allocated %d bytes for a %d-byte body (bound %d)", tc.name, alloc, len(body), bound)
+		}
+		if cap(raw) > 2*len(raw) {
+			t.Fatalf("%s: holds %d bytes for a %d-byte body", tc.name, cap(raw), len(raw))
+		}
 	}
 }

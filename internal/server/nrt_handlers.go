@@ -83,15 +83,10 @@ func (s *Server) decodeInto(r *http.Request, dst any) *apiError {
 	_, sp := obs.StartSpan(r.Context(), "decode")
 	sp.SetAttr("bytes", r.ContentLength)
 	defer sp.End()
-	raw, err := s.readBody(r)
+	raw, apiErr := s.readRequestBody(r)
 	defer s.putBodyBuf(raw)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	if apiErr != nil {
+		return apiErr
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

@@ -18,9 +18,10 @@ import (
 // Parsing number tokens directly into the final float64 representation
 // removes both, and removes the pointer→NaN conversion pass the
 // handlers used to run. The wire format is unchanged and the number
-// grammar is validated exactly as encoding/json does (same ParseFloat,
-// same JSON number syntax), so accepted and rejected bodies — and the
-// decoded values — are identical to the previous encoding.
+// grammar is validated exactly as encoding/json does (scanNumber: the
+// JSON number syntax, values bit-identical to ParseFloat), so accepted
+// and rejected bodies — and the decoded values — are identical to the
+// previous encoding.
 type Series []float64
 
 // MarshalJSON renders NaN as null. Infinities are rejected the same way
@@ -69,51 +70,6 @@ func appendJSONFloat(out []byte, v float64) []byte {
 
 func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// jsonNumber reports whether tok matches the JSON number grammar —
-// strconv.ParseFloat alone is laxer (hex floats, leading +, Inf), so
-// tokens are validated first to keep accept/reject behavior identical
-// to encoding/json.
-func jsonNumber(tok []byte) bool {
-	i := 0
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(tok) && tok[i] == '0':
-		i++
-	case i < len(tok) && tok[i] >= '1' && tok[i] <= '9':
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	default:
-		return false
-	}
-	if i < len(tok) && tok[i] == '.' {
-		i++
-		if i >= len(tok) || !isDigit(tok[i]) {
-			return false
-		}
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	}
-	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
-		i++
-		if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
-			i++
-		}
-		if i >= len(tok) || !isDigit(tok[i]) {
-			return false
-		}
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	}
-	return i == len(tok)
-}
-
 // UnmarshalJSON parses an array of numbers/nulls without reflection or
 // per-value boxing. data is one complete JSON value as handed over by
 // encoding/json's decoder.
@@ -158,14 +114,15 @@ func (s *Series) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("series: missing value at element %d", len(out))
 		case bytes.Equal(tok, []byte("null")):
 			out = append(out, math.NaN())
-		case jsonNumber(tok):
-			v, err := strconv.ParseFloat(string(tok), 64)
+		default:
+			v, end, err := scanNumber(tok, 0)
+			if err == errNumberSyntax || end != len(tok) {
+				return fmt.Errorf("series: element %d: invalid value %q", len(out), tok)
+			}
 			if err != nil {
 				return fmt.Errorf("series: element %d: %v", len(out), err)
 			}
 			out = append(out, v)
-		default:
-			return fmt.Errorf("series: element %d: invalid value %q", len(out), tok)
 		}
 		if !hadComma {
 			break

@@ -13,10 +13,13 @@ package state
 // All integers are 64-bit little-endian (signed values two's-complement);
 // all floats are IEEE-754 bit patterns via math.Float64bits, which is
 // what makes the round trip bit-exact — NaN payloads included. Decoding
-// rejects, in order: blobs too short for the frame, bad magic, versions
-// newer than this build, checksum mismatches (covers truncation and
-// corruption anywhere in the body), and then any body field that
-// violates its documented range. The version field exists so a future
+// rejects, in order: blobs too short for the frame, checksum mismatches
+// (covers truncation and corruption anywhere in the body), bad magic,
+// versions other than this build's, nonzero flags, and then any body
+// field that violates its documented range — including a length or
+// count larger than the unread bytes could hold, checked before the
+// allocation it sizes. A blob that decodes therefore re-encodes to
+// exactly the same bytes. The version field exists so a future
 // format change can keep reading old snapshots; version 1 readers
 // refuse newer snapshots loudly instead of misparsing them.
 
@@ -243,9 +246,19 @@ func (r *reader) str(maxLen int64) string {
 	return string(r.take(n))
 }
 
+// fits fails the read unless count items of at least size bytes each
+// fit in the unread bytes — checked before every make, so a corrupted
+// length field cannot allocate more than the blob could ever fill.
+func (r *reader) fits(count, size int) bool {
+	if r.err == nil && count > (len(r.b)-r.off)/size {
+		r.fail("truncated at offset %d (%d items need at least %d bytes each)", r.off, count, size)
+	}
+	return r.err == nil
+}
+
 func (r *reader) floats(what string, maxLen int64) []float64 {
 	n := r.intv(what, maxLen)
-	if r.err != nil {
+	if !r.fits(n, 8) {
 		return nil
 	}
 	out := make([]float64, n)
@@ -255,9 +268,9 @@ func (r *reader) floats(what string, maxLen int64) []float64 {
 	return out
 }
 
-// maxSnapshotPixels bounds the decoded pixel count — a corrupted length
-// field must not turn into a multi-gigabyte allocation before the
-// per-pixel reads run off the end of the blob.
+// maxSnapshotPixels bounds the decoded pixel count. It alone does not
+// bound the allocation (2^24 pixels is 1.8 GB of PixelSnapshot), so
+// the count must also fit the unread bytes (reader.fits).
 const maxSnapshotPixels = 1 << 24
 
 // DecodeSession parses and verifies a snapshot blob. Every defense runs
@@ -277,6 +290,9 @@ func DecodeSession(data []byte) (*SessionSnapshot, error) {
 	if v := binary.LittleEndian.Uint16(body[4:6]); v != Version {
 		return nil, fmt.Errorf("state: snapshot version %d; this build reads version %d", v, Version)
 	}
+	if f := binary.LittleEndian.Uint16(body[6:8]); f != 0 {
+		return nil, fmt.Errorf("state: snapshot flags %#x; version %d defines none", f, Version)
+	}
 	r := &reader{b: body, off: 8}
 
 	s := &SessionSnapshot{}
@@ -292,7 +308,7 @@ func DecodeSession(data []byte) (*SessionSnapshot, error) {
 	s.Options = decodeOptions(r)
 	s.Lambda = r.f64()
 	m := r.intv("pixels", maxSnapshotPixels)
-	if r.err != nil {
+	if !r.fits(m, 1) { // a pixel takes at least its status byte
 		return nil, r.err
 	}
 	if s.History <= 0 || s.Capacity <= s.History || s.NextDate < s.History || s.NextDate > s.Capacity {
@@ -347,6 +363,11 @@ func decodeOptions(r *reader) core.Options {
 	o.Sigma = stats.SigmaKind(r.intv("opt.sigma", 16))
 	o.Solver = core.Solver(r.intv("opt.solver", 16))
 	o.MinValidHistory = r.intv("opt.min_valid_history", math.MaxInt32)
-	o.NoTrend = r.u8() != 0
+	switch b := r.u8(); b {
+	case 0, 1:
+		o.NoTrend = b == 1
+	default:
+		r.fail("field opt.no_trend=%d out of range [0,1]", b)
+	}
 	return o
 }
