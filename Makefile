@@ -10,11 +10,12 @@
 # flat /v1/batch decoder against the stock one, and the NRT snapshot
 # decoder); `make perfbench` vets and tests the nested perfbench
 # module, which the root `go test ./...` does not reach, so a server
-# API change that breaks the benchmark fails CI; `make bench-smoke` runs the tiles before/after experiment at a tiny
-# sample (plain, then through the startup autotuner) so CI catches
-# harness regressions without paying benchmark time; `make
-# bench-compare` diffs two bfast-bench JSON reports per strategy with a
-# regression gate (OLD=... NEW=... [TOL=pct]); `make serve-smoke` boots
+# API change that breaks the benchmark fails CI; `make bench-smoke` runs
+# the simulated Fig. 8 strategy comparison and the autotuner experiment
+# (through the tuner's cache) at a tiny sample so CI catches harness
+# regressions without paying benchmark time; `make bench-compare` diffs
+# the tuned-vs-default speedup of two `bfast-bench -exp tune` JSON
+# reports with a regression gate (OLD=... NEW=... [TOL=pct]); `make serve-smoke` boots
 # bfast-serve, hits /v1/healthz and /metrics, and verifies a clean
 # SIGTERM shutdown; `make metrics-smoke` validates both /metrics
 # expositions (JSON default, Prometheus text) against the pinned family
@@ -88,7 +89,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 bench-smoke:
-	$(GO) run ./cmd/bfast-bench -exp tiles -sample 64 -json > /dev/null
+	$(GO) run ./cmd/bfast-bench -exp fig8 -sample 64 -json > /dev/null
 	$(GO) run ./cmd/bfast-bench -exp tune -sample 64 -autotune -json > /dev/null
 
 bench-compare:

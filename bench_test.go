@@ -144,11 +144,10 @@ func BenchmarkDetectBatchCPU(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.M), "ns/pixel")
 }
 
-// skewedNaNBatch builds the PR-1 benchmark workload: a 50%-NaN scene with
+// BenchmarkBatchSkewedNaN times DetectBatch on a 50%-NaN scene with
 // spatially-correlated cloud masks, the regime where per-pixel cost is
 // maximally uneven across the batch.
-func skewedNaNBatch(b *testing.B) (*core.Batch, core.Options) {
-	b.Helper()
+func BenchmarkBatchSkewedNaN(b *testing.B) {
 	ds, err := workload.Generate(workload.Spec{
 		Name: "skew50", M: 2048, N: 412, History: 206,
 		NaNFrac: 0.5, Mask: workload.MaskClouds, BreakFrac: 0.3, Seed: 7,
@@ -160,29 +159,7 @@ func skewedNaNBatch(b *testing.B) (*core.Batch, core.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return batch, core.DefaultOptions(206)
-}
-
-// BenchmarkSeedBatchSkewedNaN times the retained seed batched path
-// (per-element NaN tests, static contiguous chunks) on the skewed scene —
-// the "before" side of the PR-1 masks experiment.
-func BenchmarkSeedBatchSkewedNaN(b *testing.B) {
-	batch, opt := skewedNaNBatch(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DetectBatchReference(batch, opt, core.BatchConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.M), "ns/pixel")
-}
-
-// BenchmarkMaskedBatchSkewedNaN times the bitset-mask + work-stealing
-// batched path on the same skewed scene — the "after" side. Compare with
-// BenchmarkSeedBatchSkewedNaN; BENCH_PR1.json records the tracked ratio.
-func BenchmarkMaskedBatchSkewedNaN(b *testing.B) {
-	batch, opt := skewedNaNBatch(b)
+	opt := core.DefaultOptions(206)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -193,15 +170,6 @@ func BenchmarkMaskedBatchSkewedNaN(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.M), "ns/pixel")
 }
 
-// BenchmarkMasksExperiment runs the full before/after masks experiment
-// (both batch strategies plus the C-like baseline, identity-checked).
-func BenchmarkMasksExperiment(b *testing.B) {
-	runExperiment(b, "masks", benchCfg())
-}
-
-// BenchmarkAblations runs the design-choice sweeps of DESIGN.md: the
-// register-tile size R, the model order k, the missing-value frequency,
-// and the sampled-simulation accuracy check.
 func BenchmarkAblations(b *testing.B) {
 	runExperiment(b, "ablations", benchCfg())
 }

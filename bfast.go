@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"bfast/internal/autotune"
-	"bfast/internal/baseline"
 	"bfast/internal/core"
 	"bfast/internal/cube"
 	"bfast/internal/history"
@@ -52,10 +51,6 @@ type Status = core.Status
 // Batch is a dense M×N in-memory pixel batch (NaN = missing).
 type Batch = core.Batch
 
-// Strategy selects the batched execution organization (see Fig. 8 of the
-// paper); the default StrategyOurs is right for almost all uses.
-type Strategy = core.Strategy
-
 // Solver selects the linear-system method used for model fitting.
 type Solver = core.Solver
 
@@ -66,10 +61,6 @@ const (
 	StatusSingular            = core.StatusSingular
 	StatusNoMonitoringData    = core.StatusNoMonitoringData
 	StatusNoVariance          = core.StatusNoVariance
-
-	StrategyOurs      = core.StrategyOurs
-	StrategyRgTlEfSeq = core.StrategyRgTlEfSeq
-	StrategyFullEfSeq = core.StrategyFullEfSeq
 
 	SolverGaussJordan = core.SolverGaussJordan
 	SolverPivot       = core.SolverPivot
@@ -120,21 +111,16 @@ func (d *Detector) Options() Options { return d.opt }
 // SeriesLen returns the series length the detector was built for.
 func (d *Detector) SeriesLen() int { return d.n }
 
-// BatchOptions configures a DetectBatch call — the consolidated knobs of
-// the old pre-context DetectBatch family. The zero value is the
-// production default: the paper's winning staged-tiled organization,
-// work-stealing across GOMAXPROCS workers, default tile width.
+// BatchOptions configures a DetectBatch call. The zero value is the
+// production default: pixel-tiled detection, work-stealing across
+// GOMAXPROCS workers, default tile width.
 type BatchOptions struct {
 	// Workers is the number of goroutines (<= 0 uses GOMAXPROCS).
 	Workers int
-	// Strategy selects the batched execution organization (the kernel
-	// organizations of Fig. 8); the zero value StrategyOurs is right for
-	// almost all uses. All strategies return identical results.
-	Strategy Strategy
-	// TileWidth is T, the pixels per time-major tile of the staged
-	// strategies (0 = default, see core.BatchConfig).
+	// TileWidth is T, the pixels per time-major tile (0 = default, see
+	// core.BatchConfig). Results are identical for every T.
 	TileWidth int
-	// Autotune replaces Strategy/Workers/TileWidth with this host's
+	// Autotune replaces Workers/TileWidth with this host's
 	// measured best for the batch's shape (internal/autotune): the first
 	// call per (host, K, N, history) runs a sub-second micro-benchmark
 	// sweep, later calls hit the in-process or on-disk cache
@@ -162,15 +148,14 @@ func (d *Detector) Detect(ctx context.Context, y []float64) (Result, error) {
 // honored at steal-unit granularity: remaining pixel blocks/tiles are
 // abandoned, in-flight ones finish, and ctx.Err() is returned.
 //
-// This is the consolidated batch entry point: the zero BatchOptions is
-// right for almost all uses; Strategy/TileWidth/UseFused expose the
-// execution organizations of the paper for benchmarking and tuning.
+// The zero BatchOptions is right for almost all uses; Workers and
+// TileWidth expose the execution geometry for benchmarking and tuning.
+// Results are bit-identical to Detect on every pixel.
 func (d *Detector) DetectBatch(ctx context.Context, b *Batch, opts BatchOptions) ([]Result, error) {
 	if b.N != d.n {
 		return nil, fmt.Errorf("bfast: batch has %d dates, detector built for %d", b.N, d.n)
 	}
 	cfg := core.BatchConfig{
-		Strategy:  opts.Strategy,
 		Workers:   opts.Workers,
 		TileWidth: opts.TileWidth,
 		Autotune:  opts.Autotune,
@@ -250,7 +235,7 @@ func ProcessCubeStable(ctx context.Context, c *Cube, opt Options, level float64,
 	if err != nil {
 		return nil, err
 	}
-	results, err := baseline.CLike(ctx, trimmed, opt, workers)
+	results, err := core.DetectBatch(ctx, trimmed, opt, core.BatchConfig{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +267,7 @@ func ProcessCube(ctx context.Context, c *Cube, opt Options, dropEmpty bool, work
 	if err != nil {
 		return nil, err
 	}
-	results, err := baseline.CLike(ctx, b, opt, workers)
+	results, err := core.DetectBatch(ctx, b, opt, core.BatchConfig{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package bfast
 
 import (
 	"context"
-
+	"errors"
 	"math"
 	"testing"
 )
@@ -81,24 +81,41 @@ func TestDetectorBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestDetectorBatchStrategyAgree(t *testing.T) {
+// sameResult is bit-identity of two results, NaN matching NaN.
+func sameResult(a, b Result) bool {
+	same := func(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
+	if a.Status != b.Status || a.BreakIndex != b.BreakIndex || a.ValidHistory != b.ValidHistory ||
+		a.Valid != b.Valid || !same(a.Sigma, b.Sigma) || !same(a.MosumMean, b.MosumMean) || len(a.Beta) != len(b.Beta) {
+		return false
+	}
+	for j := range a.Beta {
+		if !same(a.Beta[j], b.Beta[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDetectorBatchGeometryAgree: every tile width and worker count
+// gives the per-pixel Detect results.
+func TestDetectorBatchGeometryAgree(t *testing.T) {
 	_, b := exampleScene(t, 32, 160, 80)
 	d, err := NewDetector(160, DefaultOptions(80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := d.DetectBatch(context.Background(), b, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := d.DetectBatch(context.Background(), b, BatchOptions{Strategy: st, Workers: 2})
+	for _, opts := range []BatchOptions{{}, {TileWidth: 1, Workers: 2}, {TileWidth: 64, Workers: 3}} {
+		got, err := d.DetectBatch(context.Background(), b, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref {
-			if ref[i].BreakIndex != got[i].BreakIndex {
-				t.Fatalf("strategy %v pixel %d differs", st, i)
+		for i := range got {
+			want, err := d.Detect(context.Background(), b.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(want, got[i]) {
+				t.Fatalf("%+v pixel %d: batch %+v != single %+v", opts, i, got[i], want)
 			}
 		}
 	}
@@ -244,5 +261,92 @@ func TestProcessCubeStable(t *testing.T) {
 	}
 	if _, err := ProcessCubeStable(context.Background(), c, opt, 0.42, 0); err == nil {
 		t.Fatal("bad level must fail")
+	}
+}
+
+// TestProcessCubeMatchesDetect pins ProcessCube (with and without
+// empty-slice removal) and ProcessCubeStable to the per-pixel Detect /
+// DetectStable oracle: same break, and the MOSUM mean as magnitude
+// exactly where the pixel's status is OK.
+func TestProcessCubeMatchesDetect(t *testing.T) {
+	const W, H, N, n = 10, 9, 150, 75
+	s, _ := exampleScene(t, W*H, N, n)
+	y := append([]float64(nil), s.Y...)
+	for _, date := range []int{3, 40, 41, n + 5, N - 1} { // whole-scene outages
+		for i := 0; i < W*H; i++ {
+			y[i*N+date] = math.NaN()
+		}
+	}
+	c, err := CubeFromFlat(W, H, N, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, m *BreakMap, want func(i int) Result) {
+		t.Helper()
+		for i := 0; i < W*H; i++ {
+			r := want(i)
+			mag := math.NaN()
+			if r.Status == StatusOK {
+				mag = r.MosumMean
+			}
+			if m.Break[i] != r.BreakIndex || math.Float64bits(m.Magnitude[i]) != math.Float64bits(mag) {
+				t.Fatalf("%s pixel %d: map (%d, %v), Detect %+v", label, i, m.Break[i], m.Magnitude[i], r)
+			}
+		}
+	}
+	detectRows := func(work *Cube, hist int, stable bool) func(int) Result {
+		d, err := NewDetector(work.Dates, DefaultOptions(hist))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(i int) Result {
+			row := work.Values[i*work.Dates : (i+1)*work.Dates]
+			var r Result
+			if stable {
+				r, _, err = d.DetectStable(row)
+			} else {
+				r, err = d.Detect(context.Background(), row)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	ctx := context.Background()
+
+	m, err := ProcessCube(ctx, c, DefaultOptions(n), false, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dropEmpty=false", m, detectRows(c, n, false))
+
+	compact, _, err := c.DropEmptySlices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compact.Dates != N-5 {
+		t.Fatalf("compacted to %d dates, want %d", compact.Dates, N-5)
+	}
+	const nc = n - 3 // three outages fall inside the history
+	m, err = ProcessCube(ctx, c, DefaultOptions(nc), true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dropEmpty=true", m, detectRows(compact, nc, false))
+
+	m, err = ProcessCubeStable(ctx, c, DefaultOptions(n), 0.05, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("stable", m, detectRows(c, n, true))
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := ProcessCube(cancelled, c, DefaultOptions(n), true, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProcessCube on a cancelled context: err = %v", err)
+	}
+	if _, err := ProcessCubeStable(cancelled, c, DefaultOptions(n), 0.05, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProcessCubeStable on a cancelled context: err = %v", err)
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	bfast-bench -exp all
 //	bfast-bench -exp fig6 -sample 8192 -datasets D1,D6
-//	bfast-bench -exp masks -json > bench.json
+//	bfast-bench -exp tune -json > bench.json
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Package autotune picks a core.BatchConfig for this host by measuring:
-// a startup micro-benchmark sweeps (TileWidth, worker count, strategy)
+// a startup micro-benchmark sweeps (TileWidth, worker count)
 // candidates over a small synthetic scene shaped like the caller's
 // workload and keeps the fastest per-pixel configuration. This is the
 // host-side analogue of the device tuning behind the paper's Fig. 4/6
@@ -40,8 +40,9 @@ import (
 
 // cacheVersion tags cache entries with the kernel generation that
 // produced them; bump it when the tiled kernels change shape so stale
-// sweeps are not replayed onto new code.
-const cacheVersion = "v1"
+// sweeps are not replayed onto new code. v2: one detection path
+// (tiled-fused); v1 entries were tuned for the retired staged path.
+const cacheVersion = "v2"
 
 // Config parameterizes a sweep. N and Opt are required (the workload
 // shape being tuned for); everything else has measured defaults.
@@ -59,13 +60,11 @@ type Config struct {
 	// spatially-correlated clouds — the regime the tiling targets).
 	NaNFrac float64
 
-	// TileWidths, Workers and Strategies override the candidate sets.
-	// Defaults: tile widths {4, 8, 16, 32, 64} (clamped to MaxWidth),
-	// workers {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated, and the two
-	// tiled strategies {Ours, RgTl-EfSeq}.
+	// TileWidths and Workers override the candidate sets. Defaults:
+	// tile widths {4, 8, 16, 32, 64} (clamped to MaxWidth) and workers
+	// {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated.
 	TileWidths []int
 	Workers    []int
-	Strategies []core.Strategy
 
 	// CacheFile overrides the cache path ("" = default per-user file);
 	// NoCache disables both the file and the in-process cache.
@@ -78,7 +77,6 @@ type Config struct {
 
 // Candidate is one measured sweep point.
 type Candidate struct {
-	Strategy  string        `json:"strategy"`
 	TileWidth int           `json:"tile_width"`
 	Workers   int           `json:"workers"`
 	PerPixel  time.Duration `json:"per_pixel_ns"`
@@ -94,19 +92,15 @@ type Seed struct {
 	Observed     bool    `json:"observed"`
 }
 
-// Choice is the sweep's outcome: the fastest configuration, the full
-// sweep, and the per-strategy bests (for callers that pin the strategy
-// and only want the tuned geometry).
+// Choice is the sweep's outcome: the fastest configuration and the full
+// sweep.
 type Choice struct {
-	Strategy  core.Strategy `json:"-"`
 	TileWidth int           `json:"tile_width"`
 	Workers   int           `json:"workers"`
 	PerPixel  time.Duration `json:"per_pixel_ns"`
 
-	StrategyName string               `json:"strategy"`
-	Sweep        []Candidate          `json:"sweep,omitempty"`
-	PerStrategy  map[string]Candidate `json:"per_strategy"`
-	Seed         Seed                 `json:"seed"`
+	Sweep []Candidate `json:"sweep,omitempty"`
+	Seed  Seed        `json:"seed"`
 
 	// FromCache reports a cache hit; CacheFile is the file consulted
 	// and/or written ("" with NoCache).
@@ -116,17 +110,7 @@ type Choice struct {
 
 // BatchConfig returns the chosen configuration as a core.BatchConfig.
 func (c *Choice) BatchConfig() core.BatchConfig {
-	return core.BatchConfig{Strategy: c.Strategy, Workers: c.Workers, TileWidth: c.TileWidth}
-}
-
-// ForStrategy returns the best measured (tile width, workers) for a
-// pinned strategy, falling back to the overall choice if the strategy
-// was not swept.
-func (c *Choice) ForStrategy(st core.Strategy) (tileWidth, workers int) {
-	if cand, ok := c.PerStrategy[st.String()]; ok {
-		return cand.TileWidth, cand.Workers
-	}
-	return c.TileWidth, c.Workers
+	return core.BatchConfig{Workers: c.Workers, TileWidth: c.TileWidth}
 }
 
 // tolerance is the fraction within which two candidates count as tied;
@@ -164,9 +148,6 @@ func (c Config) withDefaults() Config {
 				c.Workers = append(c.Workers, w)
 			}
 		}
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq}
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
@@ -223,7 +204,7 @@ func Tune(ctx context.Context, cfg Config) (*Choice, error) {
 }
 
 // Resolve applies cfg.Autotune: when set, the returned config carries
-// the tuned (strategy, workers, tile width) for the given workload
+// the tuned (workers, tile width) for the given workload
 // shape and a cleared Autotune flag; otherwise cfg is returned as-is.
 func Resolve(ctx context.Context, bcfg core.BatchConfig, n int, opt core.Options) (core.BatchConfig, error) {
 	if !bcfg.Autotune {
@@ -233,8 +214,7 @@ func Resolve(ctx context.Context, bcfg core.BatchConfig, n int, opt core.Options
 	if err != nil {
 		return bcfg, err
 	}
-	out := ch.BatchConfig()
-	return out, nil
+	return ch.BatchConfig(), nil
 }
 
 // readSeed snapshots the skew histograms (mean values; zero when no
@@ -288,55 +268,39 @@ func sweep(ctx context.Context, cfg Config) (*Choice, error) {
 	seed := readSeed(cfg.Metrics)
 	widths, workerSet := orderCandidates(cfg, seed)
 
-	ch := &Choice{
-		PerStrategy: make(map[string]Candidate, len(cfg.Strategies)),
-		Seed:        seed,
-		CacheFile:   cfg.cachePath(),
-	}
+	ch := &Choice{Seed: seed, CacheFile: cfg.cachePath()}
 	// Warm the scheduler and page in the scene before timing anything.
 	if _, err := core.DetectBatch(ctx, b, cfg.Opt, core.BatchConfig{}); err != nil {
 		return nil, err
 	}
 	bestAll := time.Duration(-1)
-	for _, st := range cfg.Strategies {
-		bestStrat := time.Duration(-1)
-		for _, wk := range workerSet {
-			for _, tw := range widths {
-				if err := ctx.Err(); err != nil {
+	for _, wk := range workerSet {
+		for _, tw := range widths {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			bcfg := core.BatchConfig{Workers: wk, TileWidth: tw}
+			best := time.Duration(-1)
+			for rep := 0; rep < cfg.Reps; rep++ {
+				t0 := time.Now()
+				if _, err := core.DetectBatch(ctx, b, cfg.Opt, bcfg); err != nil {
 					return nil, err
 				}
-				bcfg := core.BatchConfig{Strategy: st, Workers: wk, TileWidth: tw}
-				best := time.Duration(-1)
-				for rep := 0; rep < cfg.Reps; rep++ {
-					t0 := time.Now()
-					if _, err := core.DetectBatch(ctx, b, cfg.Opt, bcfg); err != nil {
-						return nil, err
-					}
-					if d := time.Since(t0); best < 0 || d < best {
-						best = d
-					}
+				if d := time.Since(t0); best < 0 || d < best {
+					best = d
 				}
-				perPixel := best / time.Duration(spec.M)
-				cand := Candidate{
-					Strategy: st.String(), TileWidth: bcfg.ResolvedTileWidth(),
-					Workers: wk, PerPixel: perPixel,
-				}
-				ch.Sweep = append(ch.Sweep, cand)
-				// Strict improvement beyond the tolerance dethrones the
-				// incumbent; anything closer is a tie and the earlier
-				// (seed-favored) candidate stands.
-				if bestStrat < 0 || float64(perPixel) < float64(bestStrat)*(1-tolerance) {
-					bestStrat = perPixel
-					ch.PerStrategy[st.String()] = cand
-				}
-				if bestAll < 0 || float64(perPixel) < float64(bestAll)*(1-tolerance) {
-					bestAll = perPixel
-					ch.Strategy = st
-					ch.StrategyName = st.String()
-					ch.TileWidth = cand.TileWidth
-					ch.Workers = wk
-					ch.PerPixel = perPixel
-				}
+			}
+			perPixel := best / time.Duration(spec.M)
+			cand := Candidate{TileWidth: bcfg.ResolvedTileWidth(), Workers: wk, PerPixel: perPixel}
+			ch.Sweep = append(ch.Sweep, cand)
+			// Strict improvement beyond the tolerance dethrones the
+			// incumbent; anything closer is a tie and the earlier
+			// (seed-favored) candidate stands.
+			if bestAll < 0 || float64(perPixel) < float64(bestAll)*(1-tolerance) {
+				bestAll = perPixel
+				ch.TileWidth = cand.TileWidth
+				ch.Workers = wk
+				ch.PerPixel = perPixel
 			}
 		}
 	}
@@ -392,7 +356,6 @@ func loadCache(path, key string) *Choice {
 		return nil
 	}
 	ch := e.Choice
-	ch.Strategy = strategyFromName(ch.StrategyName)
 	ch.FromCache = true
 	ch.CacheFile = path
 	return &ch
@@ -425,13 +388,4 @@ func saveCache(path, key string, ch *Choice) {
 		return
 	}
 	_ = os.Rename(tmp, path)
-}
-
-func strategyFromName(name string) core.Strategy {
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
-		if st.String() == name {
-			return st
-		}
-	}
-	return core.StrategyOurs
 }

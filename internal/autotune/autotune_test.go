@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bfast/internal/core"
@@ -18,7 +19,6 @@ func tinyConfig() Config {
 		SampleM: 32, Reps: 1,
 		TileWidths: []int{8},
 		Workers:    []int{1},
-		Strategies: []core.Strategy{core.StrategyOurs},
 		NoCache:    true,
 	}
 }
@@ -34,9 +34,6 @@ func TestTuneSweepTinyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Strategy != core.StrategyOurs || ch.StrategyName != "ours" {
-		t.Fatalf("chose %q, swept only ours", ch.StrategyName)
-	}
 	if ch.TileWidth != 8 || ch.Workers != 1 {
 		t.Fatalf("choice geometry (%d, %d), swept only (8, 1)", ch.TileWidth, ch.Workers)
 	}
@@ -50,17 +47,8 @@ func TestTuneSweepTinyShape(t *testing.T) {
 		t.Fatal("NoCache sweep must not report a cache hit")
 	}
 	bcfg := ch.BatchConfig()
-	if bcfg.Strategy != ch.Strategy || bcfg.TileWidth != ch.TileWidth || bcfg.Workers != ch.Workers {
+	if bcfg.TileWidth != ch.TileWidth || bcfg.Workers != ch.Workers || bcfg.Autotune {
 		t.Fatalf("BatchConfig round-trip lost fields: %+v vs %+v", bcfg, ch)
-	}
-	// A strategy that was not swept falls back to the overall choice.
-	tw, wk := ch.ForStrategy(core.StrategyFullEfSeq)
-	if tw != ch.TileWidth || wk != ch.Workers {
-		t.Fatalf("ForStrategy fallback gave (%d, %d), want overall (%d, %d)", tw, wk, ch.TileWidth, ch.Workers)
-	}
-	tw, _ = ch.ForStrategy(core.StrategyOurs)
-	if tw != 8 {
-		t.Fatalf("ForStrategy(ours) tile width %d, want 8", tw)
 	}
 }
 
@@ -95,7 +83,7 @@ func TestTuneCacheRoundTrip(t *testing.T) {
 	if !second.FromCache {
 		t.Fatal("second call must hit the file cache")
 	}
-	if second.Strategy != first.Strategy || second.TileWidth != first.TileWidth || second.Workers != first.Workers {
+	if second.TileWidth != first.TileWidth || second.Workers != first.Workers {
 		t.Fatalf("cache round-trip changed the choice: %+v vs %+v", second, first)
 	}
 
@@ -130,10 +118,40 @@ func TestTuneCorruptCacheSweeps(t *testing.T) {
 	}
 }
 
+// TestTuneIgnoresV1CacheEntry: an entry written under the v1 key (tuned
+// for the retired staged path) is never replayed; the lookup misses,
+// the sweep runs, and its result lands under the current version's key.
+func TestTuneIgnoresV1CacheEntry(t *testing.T) {
+	resetMemory()
+	defer resetMemory()
+	cacheFile := filepath.Join(t.TempDir(), "autotune.json")
+	cfg := tinyConfig()
+	cfg.NoCache = false
+	cfg.CacheFile = cacheFile
+	key := cfg.withDefaults().key()
+	if !strings.HasPrefix(key, cacheVersion+"/") || cacheVersion == "v1" {
+		t.Fatalf("key %q: want a non-v1 version prefix", key)
+	}
+	v1Key := "v1" + strings.TrimPrefix(key, cacheVersion)
+	stale := Choice{TileWidth: 64, Workers: 7, PerPixel: 1}
+	saveCache(cacheFile, v1Key, &stale)
+
+	ch, err := Tune(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.FromCache || ch.TileWidth != 8 || ch.Workers != 1 {
+		t.Fatalf("v1 entry replayed: %+v", ch)
+	}
+	if got := loadCache(cacheFile, key); got == nil || got.TileWidth != 8 {
+		t.Fatalf("sweep result not cached under %q: %+v", key, got)
+	}
+}
+
 // TestResolveNoOp: Resolve leaves configs without the Autotune flag
 // untouched — core never pays for a sweep it was not asked for.
 func TestResolveNoOp(t *testing.T) {
-	in := core.BatchConfig{Strategy: core.StrategyRgTlEfSeq, Workers: 3, TileWidth: 16}
+	in := core.BatchConfig{Workers: 3, TileWidth: 16}
 	out, err := Resolve(context.Background(), in, 80, core.DefaultOptions(40))
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@
 //   - CLike: a hand-optimized parallel CPU implementation mirroring the
 //     paper's OpenMP C baseline (§IV-C): one fused pass per pixel, all
 //     scratch memory reused per worker thread to maximize cache locality,
-//     no allocations in the hot loop. This is also the production path a
-//     Go user without a GPU would run, and the measured baseline for the
-//     Fig. 8 and §V-B speed-up experiments.
+//     no allocations in the hot loop. It is the measured baseline for
+//     the Fig. 6–8 and §V-B speed-up experiments; production detection
+//     runs core.DetectBatch.
 //
 //   - RLike: a deliberately R-style implementation that mirrors how the
 //     reference bfastmonitor code evaluates — materializing the filtered
@@ -23,9 +23,6 @@ package baseline
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"time"
 
 	"bfast/internal/core"
 	"bfast/internal/obs"
@@ -33,13 +30,9 @@ import (
 	"bfast/internal/series"
 )
 
-// Baseline kernel metrics: the C-like fused pass accounts its whole
-// per-pixel sweep under kernel.fused.ns (same convention as core's
-// StrategyFullEfSeq), plus the pixels it processed.
-var (
-	statFusedNs      = obs.Default().Counter("kernel.fused.ns")
-	statKernelPixels = obs.Default().Counter("kernel.pixels")
-)
+// statKernelPixels counts the pixels the C-like pass processed, under
+// the same family as core.DetectBatch.
+var statKernelPixels = obs.Default().Counter("kernel.pixels")
 
 // CLike runs BFAST-Monitor over the batch with the optimized fused CPU
 // implementation using the given number of workers (0 = GOMAXPROCS).
@@ -82,66 +75,13 @@ func CLike(ctx context.Context, b *core.Batch, opt core.Options, workers int) ([
 	err = sched.ForEachScratchCtx(ctx, sched.Shared(), b.M, workers, sched.DefaultGrain,
 		func() *scratch { return newScratch(opt.K(), b.N) },
 		func(s *scratch, lo, hi int) {
-			t0 := time.Now()
 			for i := lo; i < hi; i++ {
 				detectScratchMasked(b.Row(i), mask.Row(i), x, opt, lambda, s, &out[i])
 			}
-			statFusedNs.Add(int64(time.Since(t0)))
 		})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// CLikeSeed is the pre-ValidMask seed implementation: static
-// contiguous chunk partitioning and per-element NaN tests. Retained as
-// the "before" side of the bitset/work-stealing benchmarks; results are
-// bit-identical to CLike. (Formerly CLikeStatic; renamed when the
-// Deprecated wrappers moved to the compat package — this one is a
-// benchmark baseline, not a compatibility surface.)
-func CLikeSeed(b *core.Batch, opt core.Options, workers int) ([]core.Result, error) {
-	if err := opt.Validate(b.N); err != nil {
-		return nil, err
-	}
-	lambda, err := opt.ResolveLambda()
-	if err != nil {
-		return nil, err
-	}
-	x, err := core.DesignFor(opt, b.N)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]core.Result, b.M)
-	if b.M == 0 {
-		return out, nil
-	}
-	if workers > b.M {
-		workers = b.M
-	}
-
-	var wg sync.WaitGroup
-	chunk := (b.M + workers - 1) / workers
-	for lo := 0; lo < b.M; lo += chunk {
-		hi := lo + chunk
-		if hi > b.M {
-			hi = b.M
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Per-worker scratch, reused across pixels (the paper's C code
-			// does the same per OpenMP thread, footnote 10).
-			s := newScratch(opt.K(), b.N)
-			for i := lo; i < hi; i++ {
-				detectScratch(b.Row(i), x, opt, lambda, s, &out[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out, nil
 }
 
@@ -181,8 +121,8 @@ func newScratch(k, n int) *scratch {
 // validity words (word-granular, dense on all-valid words) into the
 // iBar scratch; the normal-matrix, right-hand-side and residual loops
 // then gather through it with no data-dependent branches. The
-// accumulation order over valid dates is identical to detectScratch, so
-// the two agree bit for bit.
+// accumulation order over valid dates is that of core.Detect's masked
+// kernels, so the two agree bit for bit.
 func detectScratchMasked(y []float64, words []uint64, x *series.DesignMatrix, opt core.Options, lambda float64, s *scratch, res *core.Result) {
 	n := opt.History
 	K := opt.K()
@@ -250,99 +190,6 @@ func detectScratchMasked(y []float64, words []uint64, x *series.DesignMatrix, op
 	res.MosumMean = mo.Mean
 	if mo.Break >= 0 {
 		orig := idx[nBar+mo.Break]
-		if orig >= n {
-			res.BreakIndex = orig - n
-		}
-	}
-}
-
-// detectScratch is the fused, allocation-free per-pixel implementation.
-// It performs exactly the operations of core.Detect in exactly the same
-// floating-point order, so the two agree bit for bit.
-func detectScratch(y []float64, x *series.DesignMatrix, opt core.Options, lambda float64, s *scratch, res *core.Result) {
-	n := opt.History
-	K := opt.K()
-	N := x.N
-
-	// Pass 1: valid counts (Alg. 1 line 1 without materializing).
-	nBar, nVal := 0, 0
-	for t, v := range y {
-		if math.IsNaN(v) {
-			continue
-		}
-		nVal++
-		if t < n {
-			nBar++
-		}
-	}
-	*res = core.Result{Status: core.StatusOK, BreakIndex: -1, ValidHistory: nBar, Valid: nVal}
-	minHist := opt.MinValidHistory
-	if minHist < K {
-		minHist = K
-	}
-	if nBar < minHist {
-		res.Status = core.StatusInsufficientHistory
-		return
-	}
-
-	// Normal matrix and right-hand side, masked (same accumulation order
-	// as linalg.MaskedCrossProduct / MaskedMatVec: regressor loops outer,
-	// dates inner).
-	for j1 := 0; j1 < K; j1++ {
-		r1 := x.Data[j1*N : j1*N+n]
-		for j2 := j1; j2 < K; j2++ {
-			r2 := x.Data[j2*N : j2*N+n]
-			var acc float64
-			for q := 0; q < n; q++ {
-				if math.IsNaN(y[q]) {
-					continue
-				}
-				acc += r1[q] * r2[q]
-			}
-			s.normal[j1*K+j2] = acc
-			s.normal[j2*K+j1] = acc
-		}
-	}
-	for j := 0; j < K; j++ {
-		row := x.Data[j*N : j*N+n]
-		var acc float64
-		for q := 0; q < n; q++ {
-			if math.IsNaN(y[q]) {
-				continue
-			}
-			acc += row[q] * y[q]
-		}
-		s.rhs[j] = acc
-	}
-
-	if !s.solve(opt) {
-		res.Status = core.StatusSingular
-		return
-	}
-	res.Beta = append([]float64(nil), s.beta...)
-
-	// Residuals on valid observations, compacted.
-	w := 0
-	for t := 0; t < N; t++ {
-		v := y[t]
-		if math.IsNaN(v) {
-			continue
-		}
-		var pred float64
-		for j := 0; j < K; j++ {
-			pred += x.Data[j*N+t] * s.beta[j]
-		}
-		s.rBar[w] = v - pred
-		s.iBar[w] = t
-		w++
-	}
-	nMon := nVal - nBar
-	mo := core.MonitorSeries(s.rBar, nBar, nMon, opt, lambda)
-	res.Status = mo.Status
-	res.Sigma = mo.Sigma
-	res.MosumMean = mo.Mean
-	if mo.Break >= 0 {
-		orig := s.iBar[nBar+mo.Break]
 		if orig >= n {
 			res.BreakIndex = orig - n
 		}

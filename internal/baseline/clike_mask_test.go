@@ -27,21 +27,16 @@ func genCloudBatch(t *testing.T, m, n, hist int, nanFrac float64, seed int64) *c
 	return b
 }
 
-// TestCLikeBitIdenticalToStaticSeed pins the bitset/work-stealing CLike
-// to the seed static-chunk implementation bit for bit on a skewed
-// cloud-masked scene.
-func TestCLikeBitIdenticalToStaticSeed(t *testing.T) {
+// TestCLikeBitIdenticalOnCloudScene pins the bitset/work-stealing CLike
+// to core.Detect bit for bit on a skewed cloud-masked scene.
+func TestCLikeBitIdenticalOnCloudScene(t *testing.T) {
 	ds := genCloudBatch(t, 96, 256, 128, 0.5, 41)
 	opt := core.DefaultOptions(128)
-	want, err := CLikeSeed(ds, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := CLike(context.Background(), ds, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, want, got, "clike-vs-static")
+	assertIdentical(t, referenceResults(t, ds, opt), got, "clike-clouds")
 }
 
 func TestCLikeEmptyBatch(t *testing.T) {
@@ -50,39 +45,24 @@ func TestCLikeEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := core.DefaultOptions(32)
-	for _, fn := range []func(context.Context, *core.Batch, core.Options, int) ([]core.Result, error){
-		CLike,
-		func(_ context.Context, b *core.Batch, opt core.Options, w int) ([]core.Result, error) {
-			return CLikeSeed(b, opt, w)
-		},
-	} {
-		res, err := fn(context.Background(), b, opt, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 0 {
-			t.Fatal("empty batch must give empty results")
-		}
+	res, err := CLike(context.Background(), b, opt, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 {
+		t.Fatal("empty batch must give empty results")
 	}
 }
 
 func TestCLikeWorkersExceedPixels(t *testing.T) {
 	b := genBatch(t, 2, 128, 64, 0.5, 0.5, 42)
 	opt := core.DefaultOptions(64)
-	want, err := CLike(context.Background(), b, opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{3, 100} {
+	want := referenceResults(t, b, opt)
+	for _, w := range []int{1, 3, 100} {
 		got, err := CLike(context.Background(), b, opt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertIdentical(t, want, got, "clike-many-workers")
-		st, err := CLikeSeed(b, opt, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, want, st, "static-many-workers")
 	}
 }

@@ -45,9 +45,9 @@ type Config struct {
 	// MapsDir, when non-empty, is where the maps experiment writes its
 	// PPM/PGM outputs.
 	MapsDir string
-	// Autotune runs the startup autotuner (internal/autotune) before the
-	// measured host experiments that accept a tile/worker geometry and
-	// uses its per-strategy choice instead of the defaults.
+	// Autotune makes the tune experiment take the autotuner's cached
+	// choice (internal/autotune, the startup path of bfast-serve
+	// -autotune) instead of a fresh uncached sweep.
 	Autotune bool
 }
 
@@ -68,7 +68,7 @@ func (c Config) withDefaults() Config {
 
 // Experiments lists the experiment names accepted by Run, in order.
 func Experiments() []string {
-	return []string{"table1", "fig6", "fig7", "fig8", "fig10", "maps", "masks", "tiles", "tune", "obsoverhead", "coalesce", "nrt", "speedups", "sweep", "ablations", "claims"}
+	return []string{"table1", "fig6", "fig7", "fig8", "fig10", "maps", "tune", "obsoverhead", "coalesce", "nrt", "speedups", "sweep", "ablations", "claims"}
 }
 
 // Run dispatches one experiment by name ("all" runs every one).
@@ -101,10 +101,6 @@ func runOne(ctx context.Context, name string, cfg Config) (any, error) {
 		return Fig10(ctx, cfg)
 	case "maps":
 		return Maps(ctx, cfg)
-	case "masks":
-		return Masks(ctx, cfg)
-	case "tiles":
-		return Tiles(ctx, cfg)
 	case "tune":
 		return Tune(ctx, cfg)
 	case "obsoverhead":
@@ -347,7 +343,7 @@ func Fig8(ctx context.Context, cfg Config) ([]FigRow, error) {
 		opt := core.DefaultOptions(spec.History)
 		fzFull := flops.Sizes{M: spec.M, N: spec.N, History: spec.History, K: 8, HFrac: 0.25}
 		var cells []string
-		for _, s := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+		for _, s := range []kernels.Strategy{kernels.StrategyOurs, kernels.StrategyRgTlEfSeq, kernels.StrategyFullEfSeq} {
 			dev := gpusim.NewDevice(cfg.Profile)
 			res, err := kernels.SimulateApp(dev, b32, opt, s, 0)
 			if err != nil {

@@ -197,8 +197,8 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestExperimentsListed(t *testing.T) {
-	if len(Experiments()) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(Experiments()))
+	if len(Experiments()) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(Experiments()))
 	}
 }
 
@@ -208,51 +208,49 @@ func TestObsOverheadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(rows))
+	if len(rows) != 1 {
+		t.Fatalf("expected 1 row, got %d", len(rows))
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s: instrumented run not bit-identical to plain", r.Strategy)
-		}
-		if r.Plain <= 0 || r.Instrumented <= 0 {
-			t.Errorf("%s: degenerate timings %+v", r.Strategy, r)
-		}
+	if r := rows[0]; !r.Identical {
+		t.Error("instrumented run not bit-identical to plain")
+	} else if r.Plain <= 0 || r.Instrumented <= 0 {
+		t.Errorf("degenerate timings %+v", r)
 	}
 	if !strings.Contains(buf.String(), "OBS OVERHEAD") {
 		t.Fatal("report header missing")
 	}
 }
 
-func TestMasksIdenticalRows(t *testing.T) {
+// TestTuneIdenticalRows: the tune experiment sweeps, then verifies the
+// tuned and the default geometry against core.Detect.
+func TestTuneIdenticalRows(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Masks(context.Background(), Config{Out: &buf, SampleM: 256})
+	rep, err := Tune(context.Background(), Config{Out: &buf, SampleM: 128, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("expected 3 rows, got %d", len(rows))
+	if len(rep.Sweep) == 0 || len(rep.Rows) != 1 {
+		t.Fatalf("sweep %d candidates, %d rows", len(rep.Sweep), len(rep.Rows))
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s: masked path not bit-identical to seed", r.Path)
-		}
-		if r.Seed <= 0 || r.Masked <= 0 || r.Speedup <= 0 {
-			t.Errorf("%s: degenerate timings %+v", r.Path, r)
-		}
+	r := rep.Rows[0]
+	if !r.Identical {
+		t.Error("tuned or default geometry not bit-identical to core.Detect")
 	}
-	if !strings.Contains(buf.String(), "MASKS") {
+	if r.Default <= 0 || r.Tuned <= 0 || r.Speedup <= 0 || r.Workers != 1 {
+		t.Errorf("degenerate row %+v", r)
+	}
+	if !strings.Contains(buf.String(), "TUNE") {
 		t.Fatal("report header missing")
 	}
 }
 
 func TestRunJSONCollects(t *testing.T) {
-	out, err := RunJSON(context.Background(), "masks", Config{SampleM: 128})
+	out, err := RunJSON(context.Background(), "obsoverhead", Config{SampleM: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, ok := out["masks"].([]MasksRow)
-	if !ok || len(rows) != 3 {
+	rows, ok := out["obsoverhead"].([]ObsOverheadRow)
+	if !ok || len(rows) != 1 {
 		t.Fatalf("unexpected RunJSON payload: %#v", out)
 	}
 	if _, err := json.Marshal(out); err != nil {

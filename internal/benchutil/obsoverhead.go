@@ -12,15 +12,13 @@ import (
 	"bfast/internal/workload"
 )
 
-// ObsOverheadRow is one strategy's instrumentation-overhead measurement:
+// ObsOverheadRow is the instrumentation-overhead measurement:
 // the same DetectBatch workload with span tracing off (a plain context,
 // every StartSpan a nil-receiver no-op) and on (a root span in the
 // context, the full kernel-phase tree built and recorded into a
 // TraceRing). OverheadPct is the guard the serving layer relies on —
 // tracing must cost well under 5% so it can stay on in production.
 type ObsOverheadRow struct {
-	// Strategy names the batched strategy measured.
-	Strategy string
 	// M, N, History, NaNFrac describe the workload.
 	M, N, History int
 	NaNFrac       float64
@@ -87,61 +85,56 @@ func ObsOverhead(ctx context.Context, cfg Config) ([]ObsOverheadRow, error) {
 	latency := reg.Histogram("bench.latency_ms", nil)
 
 	fmt.Fprintf(cfg.Out, "OBS OVERHEAD — DetectBatch with tracing off / on / on+diagnostics (50%% NaN clouds, M=%d N=%d, guard: <5%%)\n", spec.M, spec.N)
-	fmt.Fprintf(cfg.Out, "%-12s %10s %12s %12s %9s %9s %10s\n", "strategy", "plain", "instrumented", "diagnostics", "overhead", "diag ovh", "identical")
+	fmt.Fprintf(cfg.Out, "%10s %12s %12s %9s %9s %10s\n", "plain", "instrumented", "diagnostics", "overhead", "diag ovh", "identical")
 
-	var rows []ObsOverheadRow
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq} {
-		bcfg := core.BatchConfig{Strategy: st, Workers: cfg.Workers}
-		plainRes, plainT, err := bestOf(obsReps, func() ([]core.Result, error) {
-			return core.DetectBatch(ctx, b, opt, bcfg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		instRes, instT, err := bestOf(obsReps, func() ([]core.Result, error) {
-			root := obs.NewSpan("bench.detect_batch")
-			ctx := obs.ContextWithSpan(ctx, root)
-			res, err := core.DetectBatch(ctx, b, opt, bcfg)
-			root.End()
-			ring.Record(obs.Trace{Endpoint: "bench", Spans: func() *obs.SpanNode { n := root.Node(); return &n }()})
-			return res, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		diagRes, diagT, err := bestOf(obsReps, func() ([]core.Result, error) {
-			start := time.Now()
-			root := obs.NewSpan("bench.detect_batch")
-			ctx := obs.ContextWithSpan(ctx, root)
-			res, err := core.DetectBatch(ctx, b, opt, bcfg)
-			root.End()
-			node := root.Node()
-			tr := obs.Trace{Endpoint: "bench", RequestID: "bench-diag", Code: 200,
-				Start: start, Total: time.Since(start), Spans: &node}
-			ring.Record(tr)
-			// The serving layer's per-request diagnostics: exemplar on the
-			// latency bucket, completed trace offered to the tail sampler
-			// (SlowThreshold=1ns above, so every offer also persists — the
-			// worst case, every batch paying the JSONL append).
-			latency.ObserveExemplar(float64(tr.Total)/1e6, tr.RequestID)
-			tail.Offer(tr)
-			return res, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := ObsOverheadRow{
-			Strategy: st.String(),
-			M:        spec.M, N: spec.N, History: spec.History, NaNFrac: spec.NaNFrac,
-			Plain: plainT, Instrumented: instT, Diagnostics: diagT,
-			OverheadPct:     100 * (instT.Seconds() - plainT.Seconds()) / plainT.Seconds(),
-			DiagOverheadPct: 100 * (diagT.Seconds() - plainT.Seconds()) / plainT.Seconds(),
-			Identical:       resultsIdentical(plainRes, instRes) && resultsIdentical(plainRes, diagRes),
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(cfg.Out, "%-12s %10s %12s %12s %8.2f%% %8.2f%% %10v\n",
-			row.Strategy, shortDur(row.Plain), shortDur(row.Instrumented), shortDur(row.Diagnostics),
-			row.OverheadPct, row.DiagOverheadPct, row.Identical)
+	bcfg := core.BatchConfig{Workers: cfg.Workers}
+	plainRes, plainT, err := bestOf(obsReps, func() ([]core.Result, error) {
+		return core.DetectBatch(ctx, b, opt, bcfg)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	instRes, instT, err := bestOf(obsReps, func() ([]core.Result, error) {
+		root := obs.NewSpan("bench.detect_batch")
+		ctx := obs.ContextWithSpan(ctx, root)
+		res, err := core.DetectBatch(ctx, b, opt, bcfg)
+		root.End()
+		ring.Record(obs.Trace{Endpoint: "bench", Spans: func() *obs.SpanNode { n := root.Node(); return &n }()})
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	diagRes, diagT, err := bestOf(obsReps, func() ([]core.Result, error) {
+		start := time.Now()
+		root := obs.NewSpan("bench.detect_batch")
+		ctx := obs.ContextWithSpan(ctx, root)
+		res, err := core.DetectBatch(ctx, b, opt, bcfg)
+		root.End()
+		node := root.Node()
+		tr := obs.Trace{Endpoint: "bench", RequestID: "bench-diag", Code: 200,
+			Start: start, Total: time.Since(start), Spans: &node}
+		ring.Record(tr)
+		// The serving layer's per-request diagnostics: exemplar on the
+		// latency bucket, completed trace offered to the tail sampler
+		// (SlowThreshold=1ns above, so every offer also persists — the
+		// worst case, every batch paying the JSONL append).
+		latency.ObserveExemplar(float64(tr.Total)/1e6, tr.RequestID)
+		tail.Offer(tr)
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	row := ObsOverheadRow{
+		M: spec.M, N: spec.N, History: spec.History, NaNFrac: spec.NaNFrac,
+		Plain: plainT, Instrumented: instT, Diagnostics: diagT,
+		OverheadPct:     100 * (instT.Seconds() - plainT.Seconds()) / plainT.Seconds(),
+		DiagOverheadPct: 100 * (diagT.Seconds() - plainT.Seconds()) / plainT.Seconds(),
+		Identical:       resultsIdentical(plainRes, instRes) && resultsIdentical(plainRes, diagRes),
+	}
+	fmt.Fprintf(cfg.Out, "%10s %12s %12s %8.2f%% %8.2f%% %10v\n",
+		shortDur(row.Plain), shortDur(row.Instrumented), shortDur(row.Diagnostics),
+		row.OverheadPct, row.DiagOverheadPct, row.Identical)
+	return []ObsOverheadRow{row}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"math"
 	"time"
 
 	"bfast/internal/autotune"
@@ -11,45 +12,47 @@ import (
 	"bfast/internal/workload"
 )
 
-// TuneRow is one verified configuration of the autotuner experiment: a
-// strategy with its tuned (tile width, workers) geometry, measured
-// against the PR-1 masked per-pixel path on the full sample, with
-// bit-identical results checked.
+// TuneRow is the autotuner experiment's verification: the tuned (tile
+// width, workers) geometry measured against the default BatchConfig{}
+// on the full sample, with both runs checked bit for bit against the
+// scalar core.Detect.
 type TuneRow struct {
-	// Strategy names the batched strategy ("ours", "rgtl-efseq").
-	Strategy string
-	// TileWidth and Workers are the autotuner's choice for this strategy.
+	// TileWidth and Workers are the autotuner's choice.
 	TileWidth int
 	Workers   int
 	// M, N, History, NaNFrac describe the verification workload.
 	M, N, History int
 	NaNFrac       float64
-	// Masked and Tiled are best-of-reps wall times of the masked path
-	// and the tuned tiled path.
-	Masked, Tiled time.Duration
-	// Speedup is Masked/Tiled.
+	// Default and Tuned are best-of-reps wall times of DetectBatch at the
+	// default and at the tuned geometry.
+	Default, Tuned time.Duration
+	// Speedup is Default/Tuned.
 	Speedup float64
-	// Identical reports whether the two paths returned bit-identical
-	// results on this run.
+	// Identical reports whether both runs returned results bit-identical
+	// to core.Detect on every pixel.
 	Identical bool
-	// Chosen marks the configuration the autotuner would return overall.
-	Chosen bool
 }
 
 // TuneReport is the tune experiment's structured output: the raw sweep
 // (every candidate the autotuner measured), the skew-gauge seed that
-// ordered it, and the per-strategy verification rows.
+// ordered it, and the verification row.
 type TuneReport struct {
 	Seed  autotune.Seed        `json:"seed"`
 	Sweep []autotune.Candidate `json:"sweep"`
 	Rows  []TuneRow            `json:"rows"`
 }
 
+// tuneReps is the number of timed repetitions per geometry (best is kept,
+// so scheduling noise inflates neither side).
+const tuneReps = 3
+
 // Tune runs the startup autotuner on the 50%-NaN cloud-masked scene
-// shape (a fresh sweep — the cache is bypassed so the report always
-// reflects this host now) and then verifies each strategy's chosen
-// geometry at full sample size against the masked path: the measured
-// step change the sweep claims, with bit-identity checked.
+// shape and then verifies the chosen geometry at full sample size
+// against the default one: the measured step change the sweep claims,
+// with bit-identity against core.Detect checked. The sweep is fresh
+// (cache bypassed, so the report reflects this host now) unless
+// cfg.Autotune asks for the tuner's cached choice, the path bfast-serve
+// -autotune takes at startup.
 func Tune(ctx context.Context, cfg Config) (*TuneReport, error) {
 	cfg = cfg.withDefaults()
 	spec := workload.Spec{
@@ -63,7 +66,7 @@ func Tune(ctx context.Context, cfg Config) (*TuneReport, error) {
 		N: spec.N, Opt: opt,
 		SampleM: min(512, spec.M),
 		Workers: workerCandidates(cfg.Workers),
-		NoCache: true,
+		NoCache: !cfg.Autotune,
 	})
 	if err != nil {
 		return nil, err
@@ -76,12 +79,11 @@ func Tune(ctx context.Context, cfg Config) (*TuneReport, error) {
 	} else {
 		fmt.Fprintf(cfg.Out, "seed: no prior skew observations (default candidate order)\n")
 	}
-	fmt.Fprintf(cfg.Out, "sweep (%d candidates, per-pixel):\n", len(ch.Sweep))
+	fmt.Fprintf(cfg.Out, "sweep (%d candidates, per-pixel, from cache: %v):\n", len(ch.Sweep), ch.FromCache)
 	for _, c := range ch.Sweep {
-		fmt.Fprintf(cfg.Out, "  %-12s T=%-3d workers=%-3d %10v\n", c.Strategy, c.TileWidth, c.Workers, c.PerPixel)
+		fmt.Fprintf(cfg.Out, "  T=%-3d workers=%-3d %10v\n", c.TileWidth, c.Workers, c.PerPixel)
 	}
-	fmt.Fprintf(cfg.Out, "chosen: %s T=%d workers=%d (%v/pixel)\n\n",
-		ch.StrategyName, ch.TileWidth, ch.Workers, ch.PerPixel)
+	fmt.Fprintf(cfg.Out, "chosen: T=%d workers=%d (%v/pixel)\n\n", ch.TileWidth, ch.Workers, ch.PerPixel)
 
 	ds, err := workload.Generate(spec)
 	if err != nil {
@@ -91,40 +93,35 @@ func Tune(ctx context.Context, cfg Config) (*TuneReport, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	fmt.Fprintf(cfg.Out, "verification at M=%d (tuned tiled vs PR-1 masked path):\n", spec.M)
-	fmt.Fprintf(cfg.Out, "%-12s %3s %3s %10s %10s %8s %10s %7s\n",
-		"strategy", "T", "W", "masked", "tiled", "speedup", "identical", "chosen")
-	rep := &TuneReport{Seed: ch.Seed, Sweep: ch.Sweep}
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq} {
-		tw, wk := ch.ForStrategy(st)
-		bcfg := core.BatchConfig{Strategy: st, Workers: wk, TileWidth: tw}
-		maskRes, maskT, err := bestOf(tilesReps, func() ([]core.Result, error) {
-			return core.DetectBatchMasked(ctx, b, opt, bcfg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		tileRes, tileT, err := bestOf(tilesReps, func() ([]core.Result, error) {
-			return core.DetectBatch(ctx, b, opt, bcfg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := TuneRow{
-			Strategy: st.String(), TileWidth: bcfg.ResolvedTileWidth(), Workers: wk,
-			M: spec.M, N: spec.N, History: spec.History, NaNFrac: spec.NaNFrac,
-			Masked: maskT, Tiled: tileT,
-			Speedup:   maskT.Seconds() / tileT.Seconds(),
-			Identical: resultsIdentical(maskRes, tileRes),
-			Chosen:    st == ch.Strategy,
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(cfg.Out, "%-12s %3d %3d %10s %10s %7.2fx %10v %7v\n",
-			row.Strategy, row.TileWidth, row.Workers, shortDur(row.Masked), shortDur(row.Tiled),
-			row.Speedup, row.Identical, row.Chosen)
+	want, err := detectEach(b, opt)
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	defRes, defT, err := bestOf(tuneReps, func() ([]core.Result, error) {
+		return core.DetectBatch(ctx, b, opt, core.BatchConfig{Workers: cfg.Workers})
+	})
+	if err != nil {
+		return nil, err
+	}
+	tuned := ch.BatchConfig()
+	tunedRes, tunedT, err := bestOf(tuneReps, func() ([]core.Result, error) {
+		return core.DetectBatch(ctx, b, opt, tuned)
+	})
+	if err != nil {
+		return nil, err
+	}
+	row := TuneRow{
+		TileWidth: tuned.ResolvedTileWidth(), Workers: tuned.Workers,
+		M: spec.M, N: spec.N, History: spec.History, NaNFrac: spec.NaNFrac,
+		Default: defT, Tuned: tunedT,
+		Speedup:   defT.Seconds() / tunedT.Seconds(),
+		Identical: resultsIdentical(want, defRes) && resultsIdentical(want, tunedRes),
+	}
+	fmt.Fprintf(cfg.Out, "verification at M=%d (tuned vs default geometry, both vs core.Detect):\n", spec.M)
+	fmt.Fprintf(cfg.Out, "%3s %3s %10s %10s %8s %10s\n", "T", "W", "default", "tuned", "speedup", "identical")
+	fmt.Fprintf(cfg.Out, "%3d %3d %10s %10s %7.2fx %10v\n",
+		row.TileWidth, row.Workers, shortDur(row.Default), shortDur(row.Tuned), row.Speedup, row.Identical)
+	return &TuneReport{Seed: ch.Seed, Sweep: ch.Sweep, Rows: []TuneRow{row}}, nil
 }
 
 // workerCandidates narrows the autotuner's worker sweep to an explicit
@@ -134,4 +131,69 @@ func workerCandidates(workers int) []int {
 		return []int{workers}
 	}
 	return nil
+}
+
+// detectEach runs the scalar core.Detect over every pixel — the oracle
+// the batched runs are checked against.
+func detectEach(b *core.Batch, opt core.Options) ([]core.Result, error) {
+	x, err := core.DesignFor(opt, b.N)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Result, b.M)
+	for i := range out {
+		if out[i], err = core.Detect(b.Row(i), x, opt); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// bestOf runs fn reps times and returns the last result with the minimum
+// wall time observed.
+func bestOf(reps int, fn func() ([]core.Result, error)) ([]core.Result, time.Duration, error) {
+	var (
+		best time.Duration = 1<<63 - 1
+		out  []core.Result
+	)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		res, err := fn()
+		d := time.Since(start)
+		if err != nil {
+			return nil, 0, err
+		}
+		if d < best {
+			best = d
+		}
+		out = res
+	}
+	return out, best, nil
+}
+
+// resultsIdentical compares two result sets with exact float equality
+// (NaN pairs count as equal) — the bit-identical contract between
+// DetectBatch and core.Detect.
+func resultsIdentical(a, b []core.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	eq := func(x, y float64) bool {
+		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	for i := range a {
+		p, q := a[i], b[i]
+		if p.Status != q.Status || p.BreakIndex != q.BreakIndex ||
+			p.ValidHistory != q.ValidHistory || p.Valid != q.Valid ||
+			!eq(p.Sigma, q.Sigma) || !eq(p.MosumMean, q.MosumMean) ||
+			len(p.Beta) != len(q.Beta) {
+			return false
+		}
+		for j := range p.Beta {
+			if !eq(p.Beta[j], q.Beta[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

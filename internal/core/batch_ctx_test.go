@@ -35,30 +35,17 @@ func TestDetectBatchPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, tc := range []struct {
-		name string
-		run  func() ([]Result, error)
-	}{
-		{"staged", func() ([]Result, error) {
-			return DetectBatch(ctx, b, opt, BatchConfig{Strategy: StrategyOurs})
-		}},
-		{"fused", func() ([]Result, error) {
-			return DetectBatch(ctx, b, opt, BatchConfig{Strategy: StrategyRgTlEfSeq})
-		}},
-		{"masked", func() ([]Result, error) {
-			return DetectBatchMasked(ctx, b, opt, BatchConfig{})
-		}},
-	} {
+	for _, tw := range []int{1, 8, 64} {
 		ranBefore := sched.StatBlocksRun.Value()
-		res, err := tc.run()
+		res, err := DetectBatch(ctx, b, opt, BatchConfig{TileWidth: tw})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+			t.Fatalf("T=%d: err = %v, want context.Canceled", tw, err)
 		}
 		if res != nil {
-			t.Fatalf("%s: results returned despite cancellation", tc.name)
+			t.Fatalf("T=%d: results returned despite cancellation", tw)
 		}
 		if ran := sched.StatBlocksRun.Value() - ranBefore; ran != 0 {
-			t.Fatalf("%s: %d steal units ran for a pre-cancelled context", tc.name, ran)
+			t.Fatalf("T=%d: %d steal units ran for a pre-cancelled context", tw, ran)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"math"
 	"math/rand"
@@ -10,8 +11,12 @@ import (
 	"bfast/internal/series"
 )
 
+// sameFloat is bit-identity up to NaN: two NaNs match whatever their
+// payload, every other value must be equal.
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
 // assertBitIdentical compares two result sets with exact float equality
-// — the contract between the bitset path and the seed path.
+// — the contract between DetectBatch and the scalar Detect.
 func assertBitIdentical(t *testing.T, want, got []Result, label string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -23,26 +28,43 @@ func assertBitIdentical(t *testing.T, want, got []Result, label string) {
 			w.ValidHistory != g.ValidHistory || w.Valid != g.Valid {
 			t.Fatalf("%s pixel %d: %+v vs %+v", label, i, w, g)
 		}
-		if w.Sigma != g.Sigma && !(math.IsNaN(w.Sigma) && math.IsNaN(g.Sigma)) {
+		if !sameFloat(w.Sigma, g.Sigma) {
 			t.Fatalf("%s pixel %d: σ̂ %v vs %v", label, i, w.Sigma, g.Sigma)
 		}
-		if w.MosumMean != g.MosumMean && !(math.IsNaN(w.MosumMean) && math.IsNaN(g.MosumMean)) {
+		if !sameFloat(w.MosumMean, g.MosumMean) {
 			t.Fatalf("%s pixel %d: mean %v vs %v", label, i, w.MosumMean, g.MosumMean)
 		}
 		if len(w.Beta) != len(g.Beta) {
 			t.Fatalf("%s pixel %d: β length %d vs %d", label, i, len(w.Beta), len(g.Beta))
 		}
 		for j := range w.Beta {
-			if w.Beta[j] != g.Beta[j] {
+			if !sameFloat(w.Beta[j], g.Beta[j]) {
 				t.Fatalf("%s pixel %d: β[%d] %v vs %v", label, i, j, w.Beta[j], g.Beta[j])
 			}
 		}
 	}
 }
 
-// TestDetectBatchBitIdenticalToSeedReference pins the bitset/work-stealing
-// path to the seed implementation bit for bit, on randomized high-NaN
-// batches, for every strategy and solver.
+// detectOracle runs the scalar Detect over every pixel of b — the one
+// oracle every batched bit-identity test pins DetectBatch to.
+func detectOracle(t *testing.T, b *Batch, opt Options) []Result {
+	t.Helper()
+	x, err := DesignFor(opt, b.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Result, b.M)
+	for i := range want {
+		if want[i], err = Detect(b.Row(i), x, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestDetectBatchBitIdenticalToSeedReference: at half and heavy
+// missingness and under every solver, DetectBatch is bit-identical to
+// the seed's reference implementation, the scalar Detect.
 func TestDetectBatchBitIdenticalToSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for _, nanFrac := range []float64{0.5, 0.8} {
@@ -51,18 +73,12 @@ func TestDetectBatchBitIdenticalToSeedReference(t *testing.T) {
 		for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
 			opt := defaultTestOpts(n)
 			opt.Solver = solver
-			for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-				cfg := BatchConfig{Strategy: st, Workers: 3}
-				want, err := DetectBatchReference(b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := DetectBatch(context.Background(), b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, want, got, st.String()+"/"+solver.String())
+			want := detectOracle(t, b, opt)
+			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertBitIdentical(t, want, got, fmt.Sprintf("nan=%.1f/%s", nanFrac, solver))
 		}
 	}
 }
@@ -93,78 +109,46 @@ func TestDetectBatchMaskEdgePixels(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := defaultTestOpts(n)
-	x, _ := series.MakeDesign(N, opt.Harmonics, opt.Frequency)
-	want := make([]Result, M)
-	for i := 0; i < M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
+	want := detectOracle(t, b, opt)
 	if want[0].Status != StatusInsufficientHistory {
 		t.Fatal("all-NaN pixel must be unfittable")
 	}
 	if want[1].Status != StatusOK || want[1].Valid != N {
 		t.Fatal("all-valid pixel must fit with full count")
 	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, got, "edge/"+st.String())
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertBitIdentical(t, want, got, "edge")
 }
 
 // TestDetectBatchWorkersExceedPixels: worker counts far beyond M must
-// not spawn zero-width goroutines or change results, on both paths.
+// not spawn zero-width goroutines or change results.
 func TestDetectBatchWorkersExceedPixels(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	b := randomBatch(rng, 3, 200, 0.5)
 	opt := defaultTestOpts(100)
-	want, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfgW := range []int{64, 1000} {
+	want := detectOracle(t, b, opt)
+	for _, cfgW := range []int{1, 64, 1000} {
 		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: cfgW})
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, want, got, "many-workers")
-		ref, err := DetectBatchReference(b, opt, BatchConfig{Workers: cfgW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, ref, "many-workers-reference")
 	}
 }
 
-// TestDetectBatchReferenceEmptyAndInvalid mirrors the M == 0 and
-// validation guards on the seed path.
-func TestDetectBatchReferenceEmptyAndInvalid(t *testing.T) {
-	b, _ := NewBatch(0, 100, nil)
-	res, err := DetectBatchReference(b, defaultTestOpts(50), BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatal("empty batch must give empty results")
-	}
-	b2, _ := NewBatch(1, 40, make([]float64, 40))
-	if _, err := DetectBatchReference(b2, defaultTestOpts(20), BatchConfig{Strategy: Strategy(9)}); err == nil {
-		t.Fatal("expected unknown-strategy error")
-	}
-}
-
-// TestBatchMaskMatchesRows: Batch.Mask must agree with per-row masks for
-// any worker count.
+// TestBatchMaskMatchesRows: Batch.MaskCtx must agree with per-row masks
+// for any worker count.
 func TestBatchMaskMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	b := randomBatch(rng, 20, 130, 0.6)
 	for _, w := range []int{0, 1, 7} {
-		bm := b.Mask(w)
+		bm, err := b.MaskCtx(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < b.M; i++ {
 			want := series.MaskOf(b.Row(i))
 			row := bm.Row(i)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"math"
 	"math/rand"
@@ -72,28 +73,22 @@ func TestNewBatchValidation(t *testing.T) {
 	}
 }
 
+// TestDetectBatchStrategiesAgreeWithReference: the batched path under
+// each tile geometry it can run with (one pixel per tile, a ragged
+// width, the default) agrees with the reference, the scalar Detect, bit
+// for bit.
 func TestDetectBatchStrategiesAgreeWithReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	M, N, n := 64, 256, 128
 	b := randomBatch(rng, M, N, 0.5)
 	opt := defaultTestOpts(n)
-	x, _ := series.MakeDesign(N, opt.Harmonics, opt.Frequency)
-
-	// Reference: scalar Detect per pixel.
-	want := make([]Result, M)
-	for i := 0; i < M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
+	want := detectOracle(t, b, opt)
+	for _, tw := range []int{1, 7, 0} {
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 4, TileWidth: tw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r
-	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, want, got, 1e-9, st.String())
+		assertBitIdentical(t, want, got, fmt.Sprintf("T=%d", tw))
 	}
 }
 
@@ -163,14 +158,6 @@ func TestDetectBatchInvalidOptions(t *testing.T) {
 	}
 }
 
-func TestDetectBatchUnknownStrategy(t *testing.T) {
-	b, _ := NewBatch(1, 40, make([]float64, 40))
-	opt := defaultTestOpts(20)
-	if _, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: Strategy(9)}); err == nil {
-		t.Fatal("expected unknown-strategy error")
-	}
-}
-
 func TestDetectBatchPropertyNaNPaddingTailInvariance(t *testing.T) {
 	// Property: appending all-NaN dates to the *monitoring* tail must not
 	// change the detection outcome (those dates are filtered out).
@@ -200,17 +187,6 @@ func TestDetectBatchPropertyNaNPaddingTailInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	if StrategyOurs.String() != "ours" ||
-		StrategyRgTlEfSeq.String() != "rgtl-efseq" ||
-		StrategyFullEfSeq.String() != "full-efseq" {
-		t.Fatal("Strategy.String broken")
-	}
-	if Strategy(42).String() == "" {
-		t.Fatal("unknown strategy must render")
 	}
 }
 

@@ -11,17 +11,14 @@ import (
 	"bfast/internal/tile"
 )
 
-// This file implements the pixel-tiled execution of the staged strategies
-// (PR 2): pixels are binned by valid-count and gathered T at a time into
-// time-major tiles (internal/tile), the fit kernels run register-blocked
-// over whole tiles, and the K×K normal systems of a tile are inverted
-// together by the lane-interleaved batched Gauss-Jordan
-// (linalg.GJBatch) — the CPU analogues of the paper's Fig. 4 register
-// tiling and Fig. 5 shared-memory inversion. One tile is one steal unit
-// on the shared scheduler. Results are bit-identical to
-// DetectBatchReference (and to DetectBatchMasked, the PR-1
-// organization, which is retained as the before side of the `tiles`
-// benchmark).
+// This file implements DetectBatch's pixel-tiled execution: pixels are
+// binned by valid-count and gathered T at a time into time-major tiles
+// (internal/tile), the fit kernels run register-blocked over whole
+// tiles, and the K×K normal systems of a tile are inverted together by
+// the lane-interleaved batched Gauss-Jordan (linalg.GJBatch) — the CPU
+// analogues of the paper's Fig. 4 register tiling and Fig. 5
+// shared-memory inversion. One tile is one steal unit on the shared
+// scheduler. Results are bit-identical to the scalar Detect.
 
 // tileScratch is the per-worker working set of the tiled kernels: one
 // gathered tile plus the lane-interleaved fit and monitoring buffers.
@@ -89,8 +86,8 @@ func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool,
 // right-hand sides into coefficients. For the paper's Gauss-Jordan
 // solver all lanes reduce together in the batched interleaved scratch;
 // the pivoting/Cholesky library solvers fall back to per-lane extraction
-// through the shared solveNormal, so singularity behaviour matches the
-// untiled paths exactly. Lanes that fail are flagged StatusSingular.
+// through the shared solveNormal, so singularity behaviour matches
+// Detect exactly. Lanes that fail are flagged StatusSingular.
 func solveTile(s *tileScratch, k int, opt Options, idx []int, out []Result) {
 	t := s.data.T
 	cnt := s.data.P
@@ -147,7 +144,8 @@ func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
 }
 
 // monitorTile runs the monitoring phase (ker 8–10) over the tile's
-// compacted residuals, lane by lane; bit-identical to monitorPixelMasked.
+// compacted residuals, lane by lane; bit-identical to Detect's
+// monitoring phase.
 func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx []int, out []Result) {
 	for p, px := range idx {
 		if !s.fit[p] {
@@ -168,23 +166,29 @@ func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx
 	}
 }
 
-// batchTiledFused is the tiled RgTl-EfSeq: per tile, the fit kernels run
-// staged across the tile's lanes (cross product → batched inversion → β)
-// and the monitoring phase follows fused, all inside one steal unit with
+// batchTiledFused runs the tiles: per tile, the fit kernels run staged
+// across the tile's lanes (cross product → batched inversion → β) and
+// the monitoring phase follows fused, all inside one steal unit with
 // per-worker scratch. Tiles never touch shared intermediates, so the
-// whole pixel's data stays in cache between stages.
+// whole pixel's data stays in cache between stages. The kernel.tiles
+// span carries the per-phase CPU nanoseconds summed over workers — the
+// same measurement the kernel.*.ns counters accumulate.
 func batchTiledFused(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
 	M, N := b.M, b.N
 	n := opt.History
 	K := opt.K()
-	T := cfg.tileWidth()
+	T := cfg.ResolvedTileWidth()
 	out := make([]Result, M)
+	_, psp := obs.StartSpan(ctx, "kernel.plan")
 	plan := tile.NewPlan(mask, T)
+	psp.SetAttr("tiles", plan.Tiles)
+	psp.End()
 	xh := historySlice(x, n)
 	ctx, sp := obs.StartSpan(ctx, "kernel.tiles")
 	sp.SetAttr("tiles", plan.Tiles)
 	sp.SetAttr("tile_width", T)
 	defer sp.End()
+	var total phaseTotals
 	err := sched.ForEachScratchCtx(ctx, sched.Shared(), plan.Tiles, cfg.Workers, 1,
 		func() *tileScratch { return newTileScratch(K, N, T) },
 		func(s *tileScratch, lo, hi int) {
@@ -214,158 +218,9 @@ func batchTiledFused(ctx context.Context, b *Batch, mask *series.BatchMask, x *s
 				acc.residual += int64(t3.Sub(t2))
 				acc.mosum += int64(time.Since(t3))
 			}
-			acc.flush()
+			acc.flush(&total)
 		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// batchTiledStaged is the tiled "Ours": every kernel stage sweeps all
-// tiles before the next stage runs (the paper's batched same-inner-size
-// organization), with the gathered tiles and lane-interleaved
-// intermediates persisted in padded stage arrays. One tile remains one
-// steal unit inside every sweep.
-func batchTiledStaged(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
-	M, N := b.M, b.N
-	n := opt.History
-	K := opt.K()
-	T := cfg.tileWidth()
-	out := make([]Result, M)
-	plan := tile.NewPlan(mask, T)
-	xh := historySlice(x, n)
-	pool := sched.Shared()
-	workers := cfg.Workers
-
-	tiles := plan.Tiles
-	slots := tiles * T
-	tY := make([]float64, slots*N)   // gathered time-major series, per tile
-	cmask := make([]uint64, tiles*N) // per-tile column masks
-	nrm := make([]float64, tiles*K*K*T)
-	beta := make([]float64, tiles*K*T)
-	fit := make([]bool, slots)
-	residual := make([]float64, slots*N) // lane-major compacted residuals
-	index := make([]int32, slots*N)
-	nVal := make([]int, slots)
-
-	// view rebinds tile ti's slice of the stage arrays as a tile.Data.
-	view := func(ti int) *tile.Data {
-		d := tile.NewDataOver(T, N, tY[ti*N*T:(ti+1)*N*T], cmask[ti*N:(ti+1)*N])
-		idx := plan.Indices(ti)
-		d.P = len(idx)
-		d.Idx = idx
-		return d
-	}
-
-	// Stage 1 (ker 1 prologue): gather tiles, counts, fittable flags.
-	sctx, sp := obs.StartSpan(ctx, "kernel.gather")
-	sp.SetAttr("tiles", tiles)
-	sp.SetAttr("tile_width", T)
-	err := pool.ForEachCtx(sctx, tiles, workers, 1, func(_, lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			idx := plan.Indices(ti)
-			d := tile.NewDataOver(T, N, tY[ti*N*T:(ti+1)*N*T], cmask[ti*N:(ti+1)*N])
-			d.Gather(b.Y, mask, idx)
-			initTileResults(idx, mask, opt, fit[ti*T:ti*T+len(idx)], out)
-		}
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2 (ker 1–2): register-blocked masked cross products. The
-	// per-tile date schedule is per-worker scratch, rebuilt per tile
-	// (an O(N) scan, negligible next to the K×K×N sweep it feeds).
-	sctx, sp = obs.StartSpan(ctx, "kernel.cross_product")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tile.Schedule { return tile.NewSchedule(N) },
-		func(sc *tile.Schedule, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				d := view(ti)
-				sc.Build(d)
-				tile.CrossProduct(xh, d, sc, nrm[ti*K*K*T:(ti+1)*K*K*T])
-			}
-			statCrossNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3 (ker 3–5): right-hand sides + batched tile inversions + β.
-	sctx, sp = obs.StartSpan(ctx, "kernel.invert")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tileScratch { return newTileScratch(K, N, T) },
-		func(s *tileScratch, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				idx := plan.Indices(ti)
-				s.data = view(ti)
-				s.sc.Build(s.data)
-				copy(s.fit, fit[ti*T:ti*T+len(idx)])
-				s.nrm = nrm[ti*K*K*T : (ti+1)*K*K*T]
-				s.beta = beta[ti*K*T : (ti+1)*K*T]
-				tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
-				solveTile(s, K, opt, idx, out)
-				publishBeta(s, K, idx, out)
-				copy(fit[ti*T:ti*T+len(idx)], s.fit)
-			}
-			statInvertNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 4 (ker 6–7): register-blocked residuals + compaction.
-	sctx, sp = obs.StartSpan(ctx, "kernel.residual")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tile.Schedule { return tile.NewSchedule(N) },
-		func(sc *tile.Schedule, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				d := view(ti)
-				sc.Build(d)
-				tile.Residuals(x, d, sc, beta[ti*K*T:(ti+1)*K*T],
-					residual[ti*T*N:(ti+1)*T*N], index[ti*T*N:(ti+1)*T*N], nVal[ti*T:(ti+1)*T])
-			}
-			statResidualNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 5 (ker 8–10): σ̂, fluctuation process, boundary test, remap.
-	sctx, sp = obs.StartSpan(ctx, "kernel.mosum")
-	err = pool.ForEachCtx(sctx, tiles, workers, 1, func(_, lo, hi int) {
-		t0 := time.Now()
-		for ti := lo; ti < hi; ti++ {
-			for p, px := range plan.Indices(ti) {
-				if !fit[ti*T+p] {
-					continue
-				}
-				res := &out[px]
-				nBar := res.ValidHistory
-				w := nVal[ti*T+p]
-				base := (ti*T + p) * N
-				mo := monitorSeries(residual[base:base+w], nBar, w-nBar, opt, lambda)
-				res.Status = mo.status
-				res.Sigma = mo.sigma
-				res.MosumMean = mo.mean
-				if mo.brk >= 0 {
-					if orig := int(index[base+nBar+mo.brk]); orig >= n {
-						res.BreakIndex = orig - n
-					}
-				}
-			}
-		}
-		statMosumNs.Add(sinceNs(t0))
-	})
-	sp.End()
+	total.annotate(sp)
 	if err != nil {
 		return nil, err
 	}

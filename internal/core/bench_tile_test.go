@@ -7,12 +7,11 @@ import (
 	"bfast/internal/workload"
 )
 
-// The benchmarks below compare the PR-2 tiled kernels (DetectBatch) with
-// the retained PR-1 masked per-pixel path (DetectBatchMasked) on the
-// `tiles` experiment's scene: 50% NaN under spatially-correlated cloud
-// masks, where valid-count binning aligns the tiles' column masks.
-
-func cloudBatch(b *testing.B) *Batch {
+// BenchmarkCloudTiled runs DetectBatch at its default configuration on
+// the Table I geometry: 4096×412, history 206, 50% NaN under
+// spatially-correlated cloud masks, where valid-count binning aligns the
+// tiles' column masks.
+func BenchmarkCloudTiled(b *testing.B) {
 	spec := workload.Spec{
 		Name: "skew50", M: 4096, N: 412, History: 206,
 		NaNFrac: 0.5, Mask: workload.MaskClouds, BreakFrac: 0.3, Seed: 7, Width: 64,
@@ -25,22 +24,12 @@ func cloudBatch(b *testing.B) *Batch {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return bb
-}
-
-func benchCloud(b *testing.B, run func(context.Context, *Batch, Options, BatchConfig) ([]Result, error), st Strategy) {
-	bb := cloudBatch(b)
-	opt := DefaultOptions(206)
-	cfg := BatchConfig{Strategy: st}
+	opt := DefaultOptions(spec.History)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(context.Background(), bb, opt, cfg); err != nil {
+		if _, err := DetectBatch(context.Background(), bb, opt, BatchConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkCloudTiledStaged(b *testing.B)  { benchCloud(b, DetectBatch, StrategyOurs) }
-func BenchmarkCloudTiledFused(b *testing.B)   { benchCloud(b, DetectBatch, StrategyRgTlEfSeq) }
-func BenchmarkCloudMaskedStaged(b *testing.B) { benchCloud(b, DetectBatchMasked, StrategyOurs) }
-func BenchmarkCloudMaskedFused(b *testing.B)  { benchCloud(b, DetectBatchMasked, StrategyRgTlEfSeq) }

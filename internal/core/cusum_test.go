@@ -85,26 +85,20 @@ func TestCUSUMResolveLambdaUsesOwnTable(t *testing.T) {
 	}
 }
 
+// TestCUSUMStrategiesAgree: DetectBatch with the CUSUM process is
+// bit-identical to the scalar Detect at every tile width.
 func TestCUSUMStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	M, N, n := 48, 256, 128
 	b := randomBatch(rng, M, N, 0.5)
 	opt := cusumOpts(n)
-	x, _ := DesignFor(opt, N)
-	want := make([]Result, M)
-	for i := 0; i < M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
+	want := detectOracle(t, b, opt)
+	for _, tw := range []int{1, 8} {
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3, TileWidth: tw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r
-	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, want, got, 0, "cusum/"+st.String())
+		assertBitIdentical(t, want, got, "cusum")
 	}
 }
 

@@ -97,15 +97,18 @@ func historySlice(x *series.DesignMatrix, n int) *linalg.Matrix {
 // fitModel computes β from the masked history regression with the
 // configured solver. It returns ok=false if the normal matrix is singular.
 func fitModel(xh *linalg.Matrix, yh []float64, opt Options) ([]float64, bool) {
-	m := linalg.MaskedCrossProduct(xh, yh)
-	rhs := linalg.MaskedMatVec(xh, yh)
+	return solveNormal(linalg.MaskedCrossProduct(xh, yh), linalg.MaskedMatVec(xh, yh), opt)
+}
+
+// solveNormal computes β from the K×K normal matrix and right-hand side
+// with the configured solver. Detect and the tiled batch path both
+// solve through it, so the floating-point sequence (and singularity
+// behavior) is identical.
+func solveNormal(m *linalg.Matrix, rhs []float64, opt Options) ([]float64, bool) {
 	switch opt.Solver {
 	case SolverCholesky:
-		beta, err := linalg.SolveSPD(m, rhs)
-		if err != nil {
-			return nil, false
-		}
-		return beta, true
+		v, err := linalg.SolveSPD(m, rhs)
+		return v, err == nil
 	case SolverPivot:
 		inv, err := linalg.InvertPivot(m)
 		if err != nil {

@@ -22,7 +22,7 @@ type monitorOutcome struct {
 // test and the process mean. nBar is n̄ (history residual count), nMon the
 // number of monitoring residuals; rBar must hold nBar+nMon values.
 //
-// Every host implementation (scalar reference, batched strategies, CLike)
+// Every host implementation (scalar Detect, DetectBatch's tiles, CLike)
 // shares this single function, which is what guarantees their bit-for-bit
 // agreement.
 func monitorSeries(rBar []float64, nBar, nMon int, opt Options, lambda float64) monitorOutcome {

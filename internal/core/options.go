@@ -7,10 +7,11 @@
 //
 //   - Detect: a scalar per-pixel reference implementation of Alg. 1, used
 //     as ground truth by every other implementation in this repository.
-//   - DetectBatch: the batched, kernel-decomposed implementation that
-//     mirrors the paper's GPU strategy (one padded kernel per group of
-//     same-inner-size operations, ker 1–10 of Fig. 12), parallelized over
-//     host cores.
+//   - DetectBatch: the batched implementation, bit-identical to Detect:
+//     pixels binned by valid count and gathered into time-major tiles,
+//     the fit kernels (ker 1–5 of Fig. 12) register-blocked across each
+//     tile's lanes and the monitoring kernels (ker 6–10) fused behind
+//     them, one tile per steal unit on the host cores.
 package core
 
 import (

@@ -3,58 +3,75 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"bfast/internal/obs"
 )
 
 // TestDetectBatchSpanTree: under a root span, DetectBatch must attach a
-// core.detect_batch span whose children cover the mask sweep and every
-// kernel phase of the chosen strategy — the tree the serving layer
-// exposes at /debug/bfast/traces. Without a root span the context must
-// come back unwrapped (the no-overhead default).
+// core.detect_batch span whose children cover the mask sweep, the tile
+// plan and the tile sweep — the tree the serving layer exposes at
+// /debug/bfast/traces. kernel.tiles carries the per-phase CPU
+// nanoseconds, which must be exactly what the call added to the
+// kernel.*.ns counters: one measurement, two views.
 func TestDetectBatchSpanTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	b := randomBatch(rng, 40, 200, 0.4)
 	opt := defaultTestOpts(100)
 
-	cases := []struct {
-		strategy Strategy
-		phases   []string
-	}{
-		{StrategyOurs, []string{"kernel.mask", "kernel.gather", "kernel.cross_product", "kernel.invert", "kernel.residual", "kernel.mosum"}},
-		{StrategyRgTlEfSeq, []string{"kernel.mask", "kernel.tiles"}},
-		{StrategyFullEfSeq, []string{"kernel.mask", "kernel.fused"}},
+	phases := map[string]*obs.Counter{
+		"cross_product_ns": statCrossNs,
+		"invert_ns":        statInvertNs,
+		"residual_ns":      statResidualNs,
+		"mosum_ns":         statMosumNs,
 	}
-	for _, tc := range cases {
-		root := obs.NewSpan("request")
-		ctx := obs.ContextWithSpan(context.Background(), root)
-		if _, err := DetectBatch(ctx, b, opt, BatchConfig{Strategy: tc.strategy}); err != nil {
-			t.Fatal(err)
+	before := map[string]int64{}
+	for attr, c := range phases {
+		before[attr] = c.Value()
+	}
+	root := obs.NewSpan("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, err := DetectBatch(ctx, b, opt, BatchConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	tree := root.Node()
+	db := tree.Find("core.detect_batch")
+	if db == nil {
+		t.Fatal("no core.detect_batch span")
+	}
+	if db.Attrs["pixels"] != 40 || db.Attrs["dates"] != 200 {
+		t.Fatalf("detect_batch attrs %v", db.Attrs)
+	}
+	var names []string
+	for _, c := range db.Children {
+		names = append(names, c.Name)
+	}
+	if want := []string{"kernel.mask", "kernel.plan", "kernel.tiles"}; !slices.Equal(names, want) {
+		t.Fatalf("core.detect_batch children %v, want %v", names, want)
+	}
+	if db.Find("kernel.mask").Find("sched.foreach") == nil {
+		t.Fatal("kernel.mask has no sched.foreach child")
+	}
+	tiles := db.Find("kernel.tiles")
+	if tiles.Attrs["tile_width"] != 8 || tiles.Attrs["tiles"] != db.Find("kernel.plan").Attrs["tiles"] {
+		t.Fatalf("kernel.tiles attrs %v", tiles.Attrs)
+	}
+	var sum int64
+	for attr, c := range phases {
+		ns, ok := tiles.Attrs[attr].(int64)
+		if !ok || ns <= 0 {
+			t.Fatalf("kernel.tiles %s = %v, want positive int64", attr, tiles.Attrs[attr])
 		}
-		root.End()
-		n := root.Node()
-		db := n.Find("core.detect_batch")
-		if db == nil {
-			t.Fatalf("%v: no core.detect_batch span", tc.strategy)
+		if d := c.Value() - before[attr]; d != ns {
+			t.Fatalf("kernel.tiles %s = %d, counter moved by %d", attr, ns, d)
 		}
-		if db.Attrs["strategy"] != tc.strategy.String() || db.Attrs["pixels"] != 40 {
-			t.Fatalf("%v: detect_batch attrs %v", tc.strategy, db.Attrs)
-		}
-		for _, phase := range tc.phases {
-			ph := db.Find(phase)
-			if ph == nil {
-				t.Fatalf("%v: missing %s span under core.detect_batch", tc.strategy, phase)
-			}
-			if ph.DurNs < 0 {
-				t.Fatalf("%v: %s duration %d", tc.strategy, phase, ph.DurNs)
-			}
-			// Every kernel phase runs its sweep on the scheduler, so it
-			// must have picked up a sched.foreach child.
-			if phase != "kernel.tiles" && ph.Find("sched.foreach") == nil {
-				t.Fatalf("%v: %s has no sched.foreach child", tc.strategy, phase)
-			}
-		}
+		sum += ns
+	}
+	if sum > tiles.DurNs*int64(runtime.GOMAXPROCS(0)) {
+		t.Fatalf("phase CPU time %d ns exceeds span wall %d ns × GOMAXPROCS", sum, tiles.DurNs)
 	}
 }
 

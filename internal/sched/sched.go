@@ -1,7 +1,6 @@
 // Package sched provides the shared bounded worker pool behind every
-// host-parallel fan-out in the repository (the batched detection
-// strategies, the CLike baseline, stable-history trimming and the
-// pipeline's phase overlap).
+// host-parallel fan-out in the repository (batched detection, the CLike
+// baseline, stable-history trimming and the pipeline's phase overlap).
 //
 // The irregular per-pixel workload of the paper — every pixel has a
 // different NaN pattern, hence a different effective problem size —
@@ -16,7 +15,7 @@
 // a whole chunk.
 //
 // The pool is bounded: at most `bound` helper goroutines run at any
-// moment across all concurrent ForEach/Go calls, and the caller of a
+// moment across all concurrent ForEachCtx/Go calls, and the caller of a
 // parallel loop always participates as worker 0. That guarantees
 // progress (and freedom from pool-exhaustion deadlock) even when loops
 // nest or the pool is saturated by background tasks.
@@ -62,8 +61,8 @@ var (
 
 // DefaultGrain is the default number of items per block-cyclic block.
 // Small enough to balance NaN-skewed per-pixel costs, large enough that
-// pixels of a block still share cache lines of the staged batch arrays
-// and the atomic counter is not contended.
+// pixels of a block still share cache lines of the batch arrays and the
+// atomic counter is not contended.
 const DefaultGrain = 16
 
 // Pool is a bounded worker pool. The zero value is not usable;
@@ -121,7 +120,7 @@ func (p *Pool) Workers(requested, m int) int {
 	return w
 }
 
-// ForEach runs body over [0, m) split into block-cyclic ranges of
+// ForEachCtx runs body over [0, m) split into block-cyclic ranges of
 // `grain` items (<= 0 means DefaultGrain), dispatched to at most
 // `workers` workers (see Workers for the <= 0 default) from a shared
 // atomic counter. body is called with the worker id in [0, Workers())
@@ -131,18 +130,13 @@ func (p *Pool) Workers(requested, m int) int {
 // The calling goroutine always executes as worker 0; helpers are
 // spawned only while the pool has capacity, so nested or concurrent
 // loops degrade to fewer workers instead of deadlocking.
-func (p *Pool) ForEach(m, workers, grain int, body func(worker, lo, hi int)) {
-	//lint:allow ctxfirst -- pre-ctx compat wrapper kept for the seed reference paths; new code calls ForEachCtx
-	_ = p.ForEachCtx(context.Background(), m, workers, grain, body)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation at steal-unit
-// granularity: every worker re-checks ctx before claiming its next
-// block, so a cancelled context abandons the remaining blocks while
-// in-flight blocks run to completion (no partial body calls, no torn
-// per-pixel state). It returns ctx.Err() if the loop was cut short and
-// nil if every block ran. An already-cancelled context executes zero
-// blocks.
+//
+// Cancellation is cooperative at steal-unit granularity: every worker
+// re-checks ctx before claiming its next block, so a cancelled context
+// abandons the remaining blocks while in-flight blocks run to
+// completion (no partial body calls, no torn per-pixel state). It
+// returns ctx.Err() if the loop was cut short and nil if every block
+// ran. An already-cancelled context executes zero blocks.
 func (p *Pool) ForEachCtx(ctx context.Context, m, workers, grain int, body func(worker, lo, hi int)) error {
 	if m <= 0 {
 		return ctx.Err()
@@ -242,18 +236,12 @@ func recordLoopSkew(sp *obs.Span, counts []int64) {
 	}
 }
 
-// ForEachScratch is ForEach with a per-worker scratch lifecycle: mk is
-// invoked once per participating worker (lazily, on its first block) and
-// the same scratch value is passed to every body call of that worker —
-// the pattern the paper's C baseline uses per OpenMP thread (footnote
-// 10) to keep the hot loop allocation-free.
-func ForEachScratch[S any](p *Pool, m, workers, grain int, mk func() S, body func(s S, lo, hi int)) {
-	//lint:allow ctxfirst -- pre-ctx compat wrapper kept for the seed reference paths; new code calls ForEachScratchCtx
-	_ = ForEachScratchCtx(context.Background(), p, m, workers, grain, mk, body)
-}
-
-// ForEachScratchCtx is ForEachScratch over ForEachCtx: same per-worker
-// scratch lifecycle, cancellation checked before every block claim.
+// ForEachScratchCtx is ForEachCtx with a per-worker scratch lifecycle:
+// mk is invoked once per participating worker (lazily, on its first
+// block) and the same scratch value is passed to every body call of that
+// worker — the pattern the paper's C baseline uses per OpenMP thread
+// (footnote 10) to keep the hot loop allocation-free. Cancellation is
+// checked before every block claim.
 func ForEachScratchCtx[S any](ctx context.Context, p *Pool, m, workers, grain int, mk func() S, body func(s S, lo, hi int)) error {
 	if m <= 0 {
 		return ctx.Err()

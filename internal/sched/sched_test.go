@@ -16,7 +16,7 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 		for _, w := range []int{0, 1, 2, 7, 64} {
 			for _, g := range []int{0, 1, 3, 64} {
 				seen := make([]int32, m)
-				p.ForEach(m, w, g, func(_, lo, hi int) {
+				_ = p.ForEachCtx(context.Background(), m, w, g, func(_, lo, hi int) {
 					if lo < 0 || hi > m || lo >= hi {
 						t.Errorf("m=%d w=%d g=%d: bad range [%d,%d)", m, w, g, lo, hi)
 					}
@@ -42,7 +42,7 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 	w := p.Workers(0, m)
 	var mu sync.Mutex
 	used := map[int]bool{}
-	p.ForEach(m, 0, 4, func(id, lo, hi int) {
+	_ = p.ForEachCtx(context.Background(), m, 0, 4, func(id, lo, hi int) {
 		if id < 0 || id >= w {
 			t.Errorf("worker id %d out of range [0,%d)", id, w)
 		}
@@ -79,12 +79,12 @@ func TestWorkersClamp(t *testing.T) {
 func TestForEachEmptyAndTiny(t *testing.T) {
 	p := New(8)
 	called := false
-	p.ForEach(0, 8, 16, func(_, _, _ int) { called = true })
+	_ = p.ForEachCtx(context.Background(), 0, 8, 16, func(_, _, _ int) { called = true })
 	if called {
 		t.Fatal("body called for m == 0")
 	}
 	var n int32
-	p.ForEach(1, 64, 1024, func(_, lo, hi int) { atomic.AddInt32(&n, int32(hi-lo)) })
+	_ = p.ForEachCtx(context.Background(), 1, 64, 1024, func(_, lo, hi int) { atomic.AddInt32(&n, int32(hi-lo)) })
 	if n != 1 {
 		t.Fatalf("tiny loop covered %d items, want 1", n)
 	}
@@ -99,7 +99,7 @@ func TestForEachScratchLifecycle(t *testing.T) {
 	type scratch struct{ sum int }
 	var mu sync.Mutex
 	total := 0
-	ForEachScratch(p, m, 0, 8, func() *scratch {
+	_ = ForEachScratchCtx(context.Background(), p, m, 0, 8, func() *scratch {
 		atomic.AddInt32(&created, 1)
 		return &scratch{}
 	}, func(s *scratch, lo, hi int) {
@@ -124,8 +124,8 @@ func TestForEachScratchLifecycle(t *testing.T) {
 func TestForEachNested(t *testing.T) {
 	p := New(2)
 	var n int64
-	p.ForEach(8, 8, 1, func(_, lo, hi int) {
-		p.ForEach(100, 8, 4, func(_, l, h int) {
+	_ = p.ForEachCtx(context.Background(), 8, 8, 1, func(_, lo, hi int) {
+		_ = p.ForEachCtx(context.Background(), 100, 8, 4, func(_, l, h int) {
 			atomic.AddInt64(&n, int64(h-l))
 		})
 	})
@@ -213,7 +213,7 @@ func TestForEachCtxMidLoopCancel(t *testing.T) {
 }
 
 // TestForEachCtxUncancelledReturnsNil: the ctx path must be a strict
-// superset of ForEach — full coverage, nil error.
+// superset of the context-free loop — full coverage, nil error.
 func TestForEachCtxUncancelledReturnsNil(t *testing.T) {
 	p := New(4)
 	seen := make([]int32, 777)
@@ -263,7 +263,7 @@ func TestLoopSkewMetrics(t *testing.T) {
 
 	p := New(4)
 	var ran atomic.Int64
-	p.ForEach(1000, 4, 8, func(_, lo, hi int) { ran.Add(int64(hi - lo)) })
+	_ = p.ForEachCtx(context.Background(), 1000, 4, 8, func(_, lo, hi int) { ran.Add(int64(hi - lo)) })
 	if ran.Load() != 1000 {
 		t.Fatalf("ran %d items, want 1000", ran.Load())
 	}

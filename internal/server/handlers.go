@@ -445,10 +445,9 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	defer s.putPackBuf(in.flat)
 	req, flat, m, n := &in.req, in.flat, in.m, in.n
-	// The batched strategies (paper organization, PR 2 tiling) replace
-	// the per-pixel C-like baseline here; results are bit-identical
-	// (pinned by the equivalence tests) and the kernel-phase spans light
-	// up under this request's span tree.
+	// core.DetectBatch is bit-identical to the scalar core.Detect
+	// (pinned by the oracle tests), and its kernel spans land under this
+	// request's span tree.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
 	bcfg := core.BatchConfig{Workers: s.cfg.Workers, Autotune: s.cfg.Autotune}
 	opt := req.options()

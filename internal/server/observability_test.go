@@ -100,11 +100,18 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	}
 	for _, name := range []string{
 		"decode", "pack", "detect", "encode",
-		"core.detect_batch", "kernel.mask", "kernel.cross_product",
-		"kernel.invert", "kernel.residual", "kernel.mosum", "sched.foreach",
+		"core.detect_batch", "kernel.mask", "kernel.plan", "kernel.tiles", "sched.foreach",
 	} {
 		if tr.Spans.Find(name) == nil {
 			t.Fatalf("span tree missing %q:\n%s", name, tbody)
+		}
+	}
+	// kernel.tiles carries the per-kernel split of its CPU time; after
+	// the JSON round trip the attributes are float64.
+	tiles := tr.Spans.Find("kernel.tiles")
+	for _, attr := range []string{"cross_product_ns", "invert_ns", "residual_ns", "mosum_ns"} {
+		if ns, ok := tiles.Attrs[attr].(float64); !ok || ns <= 0 {
+			t.Fatalf("kernel.tiles %s = %v, want a positive count:\n%s", attr, tiles.Attrs[attr], tbody)
 		}
 	}
 	// detect must dominate decode+pack for a real batch; sanity-check

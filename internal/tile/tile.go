@@ -1,5 +1,5 @@
-// Package tile implements the pixel-tiled execution layout of the batched
-// detection strategies: T pixels are gathered into one time-major SoA tile
+// Package tile implements the pixel-tiled execution layout of batched
+// detection: T pixels are gathered into one time-major SoA tile
 // (Y[t*T+p]) so the same timestep of all T pixels is contiguous, and every
 // kernel pass loads the shared design matrix X once per tile instead of
 // once per pixel. This is the CPU analogue of the paper's register tiling
@@ -159,9 +159,8 @@ func (pl *Plan) Inverse() []int {
 }
 
 // Data is one gathered tile: P (≤ T) pixel series of length N in
-// time-major layout, plus the per-date column masks. The backing slices
-// may be per-worker scratch (fused strategies) or views into a persistent
-// staged array ("Ours").
+// time-major layout, plus the per-date column masks, held in per-worker
+// scratch.
 type Data struct {
 	// T is the lane stride of Y (slot capacity); P is the number of
 	// active lanes (ragged last tile has P < T).
@@ -187,19 +186,6 @@ func NewData(t, n int) *Data {
 		panic(fmt.Sprintf("tile: width %d out of range (1..%d)", t, MaxWidth))
 	}
 	return &Data{T: t, N: n, Y: make([]float64, n*t), ColMask: make([]uint64, n)}
-}
-
-// NewDataOver wraps externally-owned backing slices (the staged
-// strategy's persistent tile arrays) as a tile buffer; y must have n*t
-// entries and colMask n.
-func NewDataOver(t, n int, y []float64, colMask []uint64) *Data {
-	if t <= 0 || t > MaxWidth {
-		panic(fmt.Sprintf("tile: width %d out of range (1..%d)", t, MaxWidth))
-	}
-	if len(y) != n*t || len(colMask) != n {
-		panic(fmt.Sprintf("tile: backing %d/%d for %d dates × width %d", len(y), len(colMask), n, t))
-	}
-	return &Data{T: t, N: n, Y: y, ColMask: colMask}
 }
 
 // Gather transposes the pixels idx (original batch indices, at most T of

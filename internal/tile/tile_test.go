@@ -187,7 +187,6 @@ func TestNewDataBounds(t *testing.T) {
 	}
 	assertPanics("zero width", func() { NewData(0, 10) })
 	assertPanics("over max", func() { NewData(65, 10) })
-	assertPanics("bad backing", func() { NewDataOver(4, 10, make([]float64, 39), make([]uint64, 10)) })
 	d := NewData(4, 10)
 	assertPanics("too many pixels", func() {
 		d.Gather(make([]float64, 50), series.NewBatchMask(5, 10, make([]float64, 50)), []int{0, 1, 2, 3, 4})

@@ -1,13 +1,13 @@
 #!/bin/sh
-# Compares two bfast-bench JSON reports (the tiles or tune experiment)
-# and prints the per-strategy speedup delta: new vs old Masked/Tiled
-# ratio. Exits non-zero when any strategy's speedup regressed by more
-# than the tolerance (percent, default 10), or when any row of the new
-# report lost bit-identity. Used by `make bench-compare`:
+# Compares two `bfast-bench -exp tune -json` reports: the tuned-vs-default
+# DetectBatch speedup of the new report against the old one. Exits
+# non-zero when the speedup regressed by more than the tolerance
+# (percent, default 10), or when the new report lost bit-identity with
+# core.Detect. Used by `make bench-compare`:
 #
-#   bfast-bench -exp tiles -json > old.json
+#   bfast-bench -exp tune -json > old.json
 #   ... change kernels ...
-#   bfast-bench -exp tiles -json > new.json
+#   bfast-bench -exp tune -json > new.json
 #   ./scripts/bench-compare.sh old.json new.json [tolerance-pct]
 set -eu
 
@@ -24,41 +24,36 @@ command -v jq >/dev/null 2>&1 || {
     exit 2
 }
 
-# Rows live under .results.tiles (an array) or .results.tune.rows; both
-# carry {Strategy, Speedup, Identical}.
-rows() {
-    jq -r '(.results.tiles // .results.tune.rows // [])[]
-           | "\(.Strategy) \(.Speedup) \(.Identical)"' "$1"
+# The verification row lives at .results.tune.rows[0] and carries
+# {TileWidth, Workers, Speedup, Identical}.
+row() {
+    jq -r '.results.tune.rows[0] // empty
+           | "T=\(.TileWidth)/w=\(.Workers) \(.Speedup) \(.Identical)"' "$1"
 }
 
-old_rows=$(rows "$OLD")
-new_rows=$(rows "$NEW")
-if [ -z "$old_rows" ] || [ -z "$new_rows" ]; then
-    echo "bench-compare: no tiles/tune rows found (need -exp tiles or -exp tune reports)" >&2
+old_row=$(row "$OLD")
+new_row=$(row "$NEW")
+if [ -z "$old_row" ] || [ -z "$new_row" ]; then
+    echo "bench-compare: no tune rows found (need -exp tune reports)" >&2
     exit 2
 fi
 
-printf '%-14s %10s %10s %8s %10s\n' strategy old new delta identical
-fail=0
-echo "$new_rows" | while read -r strat new_speedup identical; do
-    old_speedup=$(echo "$old_rows" | awk -v s="$strat" '$1 == s {print $2; exit}')
-    if [ -z "$old_speedup" ]; then
-        printf '%-14s %10s %10.2fx %8s %10s\n' "$strat" "-" "$new_speedup" "new" "$identical"
-        continue
-    fi
-    awk -v s="$strat" -v o="$old_speedup" -v n="$new_speedup" -v id="$identical" -v tol="$TOL" '
-        BEGIN {
-            delta = (n - o) / o * 100
-            printf "%-14s %9.2fx %9.2fx %+7.1f%% %10s\n", s, o, n, delta, id
-            bad = 0
-            if (id != "true") { printf "bench-compare: %s lost bit-identity\n", s > "/dev/stderr"; bad = 1 }
-            if (delta < -tol) { printf "bench-compare: %s regressed %.1f%% (tolerance %s%%)\n", s, -delta, tol > "/dev/stderr"; bad = 1 }
-            exit bad
-        }' || exit 1
-done || fail=1
-
-if [ "$fail" -ne 0 ]; then
+printf '%-14s %-14s %10s %10s %8s %10s\n' old-geometry new-geometry old new delta identical
+set -- $old_row
+old_geom=$1 old_speedup=$2
+set -- $new_row
+new_geom=$1 new_speedup=$2 identical=$3
+if awk -v og="$old_geom" -v ng="$new_geom" -v o="$old_speedup" -v n="$new_speedup" -v id="$identical" -v tol="$TOL" '
+    BEGIN {
+        delta = (n - o) / o * 100
+        printf "%-14s %-14s %9.2fx %9.2fx %+7.1f%% %10s\n", og, ng, o, n, delta, id
+        bad = 0
+        if (id != "true") { print "bench-compare: tuned geometry lost bit-identity with core.Detect" > "/dev/stderr"; bad = 1 }
+        if (delta < -tol) { printf "bench-compare: speedup regressed %.1f%% (tolerance %s%%)\n", -delta, tol > "/dev/stderr"; bad = 1 }
+        exit bad
+    }'; then
+    echo "bench-compare: OK (tolerance ${TOL}%)"
+else
     echo "bench-compare: FAIL (tolerance ${TOL}%)" >&2
     exit 1
 fi
-echo "bench-compare: OK (tolerance ${TOL}%)"

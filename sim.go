@@ -9,6 +9,17 @@ import (
 	"bfast/internal/workload"
 )
 
+// Strategy selects the simulated kernel organization (the code versions
+// of Fig. 8 of the paper); all strategies compute identical results.
+type Strategy = kernels.Strategy
+
+// The simulated kernel organizations. See the kernels package.
+const (
+	StrategyOurs      = kernels.StrategyOurs
+	StrategyRgTlEfSeq = kernels.StrategyRgTlEfSeq
+	StrategyFullEfSeq = kernels.StrategyFullEfSeq
+)
+
 // GPUProfile is a simulated-device cost model (see internal/gpusim).
 type GPUProfile = gpusim.Profile
 
