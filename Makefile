@@ -5,19 +5,16 @@
 # lint-selfcheck` proves the lint driver itself still finds the known
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each
-# native fuzz target for
-# ~10s over its corpus (dates.ParseDate, the /v1/batch decode path, the
-# flat /v1/batch decoder against the stock one, and the NRT snapshot
-# decoder); `make perfbench` vets and tests the nested perfbench
+# native fuzz target for ~10s over its corpus (dates.ParseDate, the
+# /v1/batch decode path, the flat /v1/batch decoder against the stock
+# one, the NRT snapshot decoder, and the cube and GeoTIFF file
+# readers); `make perfbench` vets and tests the nested perfbench
 # module, which the root `go test ./...` does not reach, so a server
 # API change that breaks the benchmark fails CI; `make bench-smoke` runs
-# the simulated Fig. 8 strategy comparison and the autotuner experiment
-# (through the tuner's cache) at a tiny sample so CI catches harness
-# regressions without paying benchmark time; `make bench-compare` diffs
-# the tuned-vs-default speedup of two `bfast-bench -exp tune` JSON
-# reports with a regression gate (OLD=... NEW=... [TOL=pct]); `make serve-smoke` boots
-# bfast-serve, hits /v1/healthz and /metrics, and verifies a clean
-# SIGTERM shutdown; `make metrics-smoke` validates both /metrics
+# the simulated Fig. 8 strategy comparison at a tiny sample so CI
+# catches harness regressions without paying benchmark time; `make
+# serve-smoke` boots bfast-serve, hits /v1/healthz and /metrics, and
+# verifies a clean SIGTERM shutdown; `make metrics-smoke` validates both /metrics
 # expositions (JSON default, Prometheus text) against the pinned family
 # golden file; `make coalesce-smoke` boots bfast-serve with and without
 # -coalesce, fires the same concurrent small /v1/batch requests at both
@@ -31,9 +28,8 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-TOL ?= 10
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke perfbench vulncheck vulncheck-ci bench bench-smoke bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke perfbench vulncheck vulncheck-ci bench bench-smoke serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
 ci: lint lint-selfcheck build race test perfbench fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
 
@@ -67,6 +63,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFlatDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
+	$(GO) test -run='^$$' -fuzz=FuzzReadCube -fuzztime=$(FUZZTIME) ./internal/cube/
+	$(GO) test -run='^$$' -fuzz=FuzzReadGeoTIFF -fuzztime=$(FUZZTIME) ./internal/geotiff/
 
 perfbench:
 	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
@@ -90,13 +88,6 @@ bench:
 
 bench-smoke:
 	$(GO) run ./cmd/bfast-bench -exp fig8 -sample 64 -json > /dev/null
-	$(GO) run ./cmd/bfast-bench -exp tune -sample 64 -autotune -json > /dev/null
-
-bench-compare:
-	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
-		echo "usage: make bench-compare OLD=old.json NEW=new.json [TOL=10]"; exit 2; \
-	fi
-	./scripts/bench-compare.sh "$(OLD)" "$(NEW)" "$(TOL)"
 
 serve-smoke:
 	./scripts/serve-smoke.sh

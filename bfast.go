@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 
-	"bfast/internal/autotune"
 	"bfast/internal/core"
 	"bfast/internal/cube"
 	"bfast/internal/history"
@@ -120,12 +119,6 @@ type BatchOptions struct {
 	// TileWidth is T, the pixels per time-major tile (0 = default, see
 	// core.BatchConfig). Results are identical for every T.
 	TileWidth int
-	// Autotune replaces Workers/TileWidth with this host's
-	// measured best for the batch's shape (internal/autotune): the first
-	// call per (host, K, N, history) runs a sub-second micro-benchmark
-	// sweep, later calls hit the in-process or on-disk cache
-	// (os.UserCacheDir()/bfast/autotune.json).
-	Autotune bool
 }
 
 // Detect runs BFAST-Monitor on a single pixel series (length must match
@@ -155,15 +148,7 @@ func (d *Detector) DetectBatch(ctx context.Context, b *Batch, opts BatchOptions)
 	if b.N != d.n {
 		return nil, fmt.Errorf("bfast: batch has %d dates, detector built for %d", b.N, d.n)
 	}
-	cfg := core.BatchConfig{
-		Workers:   opts.Workers,
-		TileWidth: opts.TileWidth,
-		Autotune:  opts.Autotune,
-	}
-	cfg, err := autotune.Resolve(ctx, cfg, d.n, d.opt)
-	if err != nil {
-		return nil, fmt.Errorf("bfast: autotune: %w", err)
-	}
+	cfg := core.BatchConfig{Workers: opts.Workers, TileWidth: opts.TileWidth}
 	return core.DetectBatch(ctx, b, d.opt, cfg)
 }
 

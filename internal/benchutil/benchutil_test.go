@@ -197,8 +197,8 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestExperimentsListed(t *testing.T) {
-	if len(Experiments()) != 14 {
-		t.Fatalf("expected 14 experiments, got %d", len(Experiments()))
+	if len(Experiments()) != 13 {
+		t.Fatalf("expected 13 experiments, got %d", len(Experiments()))
 	}
 }
 
@@ -217,29 +217,6 @@ func TestObsOverheadRows(t *testing.T) {
 		t.Errorf("degenerate timings %+v", r)
 	}
 	if !strings.Contains(buf.String(), "OBS OVERHEAD") {
-		t.Fatal("report header missing")
-	}
-}
-
-// TestTuneIdenticalRows: the tune experiment sweeps, then verifies the
-// tuned and the default geometry against core.Detect.
-func TestTuneIdenticalRows(t *testing.T) {
-	var buf bytes.Buffer
-	rep, err := Tune(context.Background(), Config{Out: &buf, SampleM: 128, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Sweep) == 0 || len(rep.Rows) != 1 {
-		t.Fatalf("sweep %d candidates, %d rows", len(rep.Sweep), len(rep.Rows))
-	}
-	r := rep.Rows[0]
-	if !r.Identical {
-		t.Error("tuned or default geometry not bit-identical to core.Detect")
-	}
-	if r.Default <= 0 || r.Tuned <= 0 || r.Speedup <= 0 || r.Workers != 1 {
-		t.Errorf("degenerate row %+v", r)
-	}
-	if !strings.Contains(buf.String(), "TUNE") {
 		t.Fatal("report header missing")
 	}
 }

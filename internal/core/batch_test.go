@@ -202,7 +202,7 @@ func TestSolverStrings(t *testing.T) {
 // BatchConfig.ResolvedTileWidth: non-positive widths resolve to the
 // default, widths past tile.MaxWidth clamp to it, exact MaxWidth and
 // in-range widths pass through unchanged. Downstream consumers
-// (bfast-bench JSON, the autotuner sweep) rely on this being the width
+// (bfast-bench JSON, the coalescer's batch key) rely on this being the width
 // DetectBatch actually runs with.
 func TestResolvedTileWidthClamping(t *testing.T) {
 	cases := []struct {

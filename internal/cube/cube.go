@@ -179,42 +179,43 @@ func (c *Cube) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserializes a cube written by Write.
+// Read block sizes: the first read is minReadBlock bytes, each later
+// one as large as everything read so far, up to maxReadBlock.
+const (
+	minReadBlock = 256
+	maxReadBlock = 1 << 20
+)
+
+// Read deserializes a cube written by Write. The header is untrusted, so
+// Values grows as pixel data arrives: a short input fails after
+// allocating in proportion to its length, not to the dimensions it
+// declares.
 func Read(r io.Reader) (*Cube, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("cube: reading magic: %w", err)
+	h, err := ReadHeader(r)
+	if err != nil {
+		return nil, err
 	}
-	if magic != cubeMagic {
-		return nil, fmt.Errorf("cube: bad magic %q", magic[:])
-	}
-	var dims [3]uint32
-	for i := range dims {
-		if err := binary.Read(br, binary.LittleEndian, &dims[i]); err != nil {
-			return nil, fmt.Errorf("cube: reading header: %w", err)
+	total := h.Pixels() * h.Dates
+	var values []float64
+	var buf []byte
+	for len(values) < total {
+		n := min(total-len(values), max(len(values), minReadBlock/4), maxReadBlock/4)
+		if cap(buf) < 4*n {
+			buf = make([]byte, 4*n)
+		}
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return nil, fmt.Errorf("cube: reading pixel %d: %w", len(values)/h.Dates, err)
+		}
+		if cap(values)-len(values) < n {
+			grown := make([]float64, len(values), min(total, 2*(len(values)+n)))
+			copy(grown, values)
+			values = grown
+		}
+		for j := 0; j < 4*n; j += 4 {
+			values = append(values, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[j:]))))
 		}
 	}
-	w, h, dates := int(dims[0]), int(dims[1]), int(dims[2])
-	// Bound each dimension before multiplying so hostile headers cannot
-	// overflow the size arithmetic.
-	const maxDim = 1 << 20
-	if w <= 0 || h <= 0 || dates <= 0 || w > maxDim || h > maxDim || dates > maxDim ||
-		w*h > (1<<30)/dates {
-		return nil, fmt.Errorf("cube: implausible dimensions %dx%dx%d", w, h, dates)
-	}
-	c := &Cube{Width: w, Height: h, Dates: dates, Values: make([]float64, w*h*dates)}
-	buf := make([]byte, 4*dates)
-	for i := 0; i < w*h; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("cube: reading pixel %d: %w", i, err)
-		}
-		s := c.Series(i)
-		for j := range s {
-			s[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
-		}
-	}
-	return c, nil
+	return &Cube{Width: h.Width, Height: h.Height, Dates: h.Dates, Values: values}, nil
 }
 
 // WriteFile writes the cube to path.

@@ -47,17 +47,27 @@ func ReadHeader(r io.Reader) (Header, error) {
 // uncompressed data exceed host memory ("they first get split into
 // chunks"). The file's pixels are split into count contiguous chunks; fn
 // is called once per chunk, in order, with a Chunk whose Values buffer is
-// reused between calls (copy it if it must outlive fn).
+// reused between calls (copy it if it must outlive fn). A header that
+// declares more payload than the file holds is rejected before any
+// chunk buffer is allocated.
 func StreamChunks(path string, count int, fn func(Header, Chunk) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	br := bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))
 	h, err := ReadHeader(br)
 	if err != nil {
 		return err
+	}
+	if need := 16 + 4*int64(h.Pixels())*int64(h.Dates); need > fi.Size() {
+		return fmt.Errorf("cube: header declares %dx%dx%d (%d bytes), file holds %d",
+			h.Width, h.Height, h.Dates, need, fi.Size())
 	}
 	pixels := h.Pixels()
 	if count <= 0 {

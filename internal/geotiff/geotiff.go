@@ -12,6 +12,7 @@
 package geotiff
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -101,6 +102,12 @@ func (im *Image) Write(w io.Writer) error {
 	if len(desc) > 0 && desc[len(desc)-1] != 0 {
 		desc = append(desc, 0) // ASCII tags are NUL-terminated
 	}
+	// A value of up to 4 bytes is stored inline in its IFD entry, which
+	// this layout does not do; NUL-pad short descriptions past that (the
+	// reader strips trailing NULs).
+	for len(desc) > 0 && len(desc) <= 4 {
+		desc = append(desc, 0)
+	}
 
 	// Layout: header(8) | pixel strip | description | IFD.
 	stripOff := uint32(8)
@@ -181,7 +188,9 @@ func (im *Image) Write(w io.Writer) error {
 	return nil
 }
 
-// Read parses a single-band float32 TIFF in either byte order.
+// Read parses a single-band float32 TIFF in either byte order. Every
+// size field is untrusted: the bytes it names are checked to exist in r
+// before anything is allocated for them.
 func Read(r io.ReaderAt) (*Image, error) {
 	var hdr [8]byte
 	if _, err := r.ReadAt(hdr[:], 0); err != nil {
@@ -209,8 +218,8 @@ func Read(r io.ReaderAt) (*Image, error) {
 	if n == 0 || n > 4096 {
 		return nil, fmt.Errorf("geotiff: implausible IFD entry count %d", n)
 	}
-	raw := make([]byte, 12*n)
-	if _, err := r.ReadAt(raw, ifdOff+2); err != nil {
+	raw, err := readAt(r, ifdOff+2, int64(12*n))
+	if err != nil {
 		return nil, fmt.Errorf("geotiff: reading IFD entries: %w", err)
 	}
 
@@ -253,13 +262,11 @@ func Read(r io.ReaderAt) (*Image, error) {
 				descOff = bo.Uint32(e[8:])
 			}
 		case tagStripOffsets:
-			var err error
 			stripOffs, err = readLongs(r, bo, e, typ, count, ifdOff, i)
 			if err != nil {
 				return nil, err
 			}
 		case tagStripByteCounts:
-			var err error
 			stripLens, err = readLongs(r, bo, e, typ, count, ifdOff, i)
 			if err != nil {
 				return nil, err
@@ -282,31 +289,37 @@ func Read(r io.ReaderAt) (*Image, error) {
 			len(stripOffs), len(stripLens))
 	}
 
-	im := &Image{Width: width, Height: height, Pixels: make([]float32, width*height)}
-	want := 4 * len(im.Pixels)
-	got := 0
-	pos := 0
+	want := int64(4 * width * height)
+	var got int64
 	for s := range stripOffs {
-		data := make([]byte, stripLens[s])
-		if _, err := r.ReadAt(data, int64(stripOffs[s])); err != nil {
-			return nil, fmt.Errorf("geotiff: reading strip %d: %w", s, err)
+		if !within(r, int64(stripOffs[s]), int64(stripLens[s])) {
+			return nil, fmt.Errorf("geotiff: strip %d (%d bytes at %d) runs past the end of the input",
+				s, stripLens[s], stripOffs[s])
 		}
-		got += len(data)
-		for o := 0; o+4 <= len(data) && pos < len(im.Pixels); o += 4 {
-			im.Pixels[pos] = math.Float32frombits(bo.Uint32(data[o:]))
-			pos++
-		}
+		got += int64(stripLens[s])
 	}
-	if got < want {
+	// Strips may overlap, so their sum alone does not prove the input
+	// holds the image: it must also be at least want bytes long.
+	if got < want || !within(r, 0, want) {
 		return nil, fmt.Errorf("geotiff: strips hold %d bytes, image needs %d", got, want)
 	}
-	if descLen > 0 {
-		d := make([]byte, descLen)
-		if _, err := r.ReadAt(d, int64(descOff)); err == nil {
-			for len(d) > 0 && d[len(d)-1] == 0 {
-				d = d[:len(d)-1]
-			}
-			im.Description = string(d)
+	desc, err := readAt(r, int64(descOff), int64(descLen))
+	if err != nil {
+		return nil, fmt.Errorf("geotiff: reading description: %w", err)
+	}
+
+	im := &Image{Width: width, Height: height, Pixels: make([]float32, width*height),
+		Description: string(bytes.TrimRight(desc, "\x00"))}
+	for s, pos := 0, 0; s < len(stripOffs) && pos < len(im.Pixels); s++ {
+		// Only the pixels still missing are read; bytes past the last
+		// whole sample of a strip are ignored.
+		data, err := readAt(r, int64(stripOffs[s]), 4*int64(min(stripLens[s]/4, uint32(len(im.Pixels)-pos))))
+		if err != nil {
+			return nil, fmt.Errorf("geotiff: reading strip %d: %w", s, err)
+		}
+		for o := 0; o < len(data); o += 4 {
+			im.Pixels[pos] = math.Float32frombits(bo.Uint32(data[o:]))
+			pos++
 		}
 	}
 	return im, nil
@@ -321,22 +334,14 @@ func readLongs(r io.ReaderAt, bo binary.ByteOrder, e []byte, typ uint16, count u
 	if typ == typeShort {
 		size = 2
 	}
-	out := make([]uint32, count)
-	if count*size <= 4 {
-		for i := uint32(0); i < count; i++ {
-			if typ == typeShort {
-				out[i] = uint32(bo.Uint16(e[8+2*i:]))
-			} else {
-				out[i] = bo.Uint32(e[8+4*i:])
-			}
+	raw := e[8:12] // inline values
+	if count*size > 4 {
+		var err error
+		if raw, err = readAt(r, int64(bo.Uint32(e[8:])), int64(count*size)); err != nil {
+			return nil, fmt.Errorf("geotiff: reading array tag: %w", err)
 		}
-		return out, nil
 	}
-	off := int64(bo.Uint32(e[8:]))
-	raw := make([]byte, count*size)
-	if _, err := r.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("geotiff: reading array tag: %w", err)
-	}
+	out := make([]uint32, count)
 	for i := uint32(0); i < count; i++ {
 		if typ == typeShort {
 			out[i] = uint32(bo.Uint16(raw[2*i:]))
@@ -345,6 +350,33 @@ func readLongs(r io.ReaderAt, bo binary.ByteOrder, e []byte, typ uint16, count u
 		}
 	}
 	return out, nil
+}
+
+// within reports whether the n bytes at off all lie inside r, by reading
+// the last of them.
+func within(r io.ReaderAt, off, n int64) bool {
+	if n == 0 {
+		return true
+	}
+	var last [1]byte
+	k, _ := r.ReadAt(last[:], off+n-1)
+	return k == 1
+}
+
+// readAt reads the n bytes at off. n comes from the file, so the bytes
+// are checked to exist before a buffer is allocated for them.
+func readAt(r io.ReaderAt, off, n int64) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if !within(r, off, n) {
+		return nil, fmt.Errorf("%d bytes at %d run past the end of the input", n, off)
+	}
+	b := make([]byte, n)
+	if _, err := r.ReadAt(b, off); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // WriteFile writes the image to path.

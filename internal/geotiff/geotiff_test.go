@@ -84,6 +84,26 @@ func TestRoundTripNoDescription(t *testing.T) {
 	}
 }
 
+// TestRoundTripShortDescription: descriptions short enough for a TIFF
+// entry's inline value field must still read back intact.
+func TestRoundTripShortDescription(t *testing.T) {
+	for _, desc := range []string{"a", "ab", "abc", "abcd"} {
+		im := randImage(t, 2, 2, 4)
+		im.Description = desc
+		var buf bytes.Buffer
+		if err := im.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Description != desc {
+			t.Errorf("description %q read back as %q", desc, got.Description)
+		}
+	}
+}
+
 func TestReadBigEndian(t *testing.T) {
 	// Hand-build a 2x1 big-endian float32 TIFF.
 	var buf bytes.Buffer

@@ -592,6 +592,24 @@ func (mg *Manager) Get(id string) (Info, error) {
 	return infoLocked(s), nil
 }
 
+// Pixels returns one session's pixel count without walking its pixels.
+func (mg *Manager) Pixels(id string) (int, error) {
+	s, err := mg.get(id)
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pixels), nil
+}
+
+// Len returns the number of live sessions.
+func (mg *Manager) Len() int {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	return len(mg.sessions)
+}
+
 func infoLocked(s *session) Info {
 	in := Info{
 		ID: s.id, Pixels: len(s.pixels),

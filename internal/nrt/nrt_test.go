@@ -269,11 +269,17 @@ func TestObserveErrors(t *testing.T) {
 	if err != nil || info.NextDate != n {
 		t.Fatalf("cursor moved on rejected observe: %+v %v", info, err)
 	}
+	if px, err := mg.Pixels(sum.ID); err != nil || px != M || mg.Len() != 1 {
+		t.Fatalf("Pixels = %d, %v; Len = %d; want %d pixels in 1 session", px, err, mg.Len(), M)
+	}
 	if err := mg.Delete(ctx, sum.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mg.Get(sum.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted session still visible: %v", err)
+	}
+	if _, err := mg.Pixels(sum.ID); !errors.Is(err, ErrNotFound) || mg.Len() != 0 {
+		t.Fatalf("deleted session still counted: Pixels err %v, Len %d", err, mg.Len())
 	}
 	if err := mg.Delete(ctx, sum.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)

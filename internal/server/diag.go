@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"bfast/internal/autotune"
 	"bfast/internal/obs"
 )
 
@@ -277,22 +276,13 @@ func sortTraceEntries(entries []traceEntry) {
 // handleFlight streams the flight-recorder bundle: one tar.gz holding
 // the metrics snapshot (JSON + Prometheus), recent and persisted
 // traces, the resolved config, runtime state, the NRT session summary,
-// the SLO objectives, the autotune cache and the latest captured
-// profiles. Assembled from live state at request time — the endpoint an
-// operator hits first when paged, before deciding what to look at.
+// the SLO objectives and the latest captured profiles. Assembled from
+// live state at request time — the endpoint an operator hits first when
+// paged, before deciding what to look at.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required"))
 		return
-	}
-	files := obs.ProfileFiles(s.prof.ProfilesDir())
-	if s.cfg.Autotune {
-		if p := (autotune.Config{}).CachePath(); p != "" {
-			if files == nil {
-				files = make(map[string]string, 1)
-			}
-			files["autotune.json"] = p
-		}
 	}
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Disposition", `attachment; filename="bfast-flight.tar.gz"`)
@@ -305,7 +295,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			"nrt_sessions":   s.nrtMgr.List(),
 			"slo_objectives": s.slo.Objectives(),
 		},
-		Files: files,
+		Files: obs.ProfileFiles(s.prof.ProfilesDir()),
 	})
 	if err != nil {
 		// Headers (and likely part of the archive) are gone; the client
@@ -326,7 +316,6 @@ func (s *Server) resolvedConfig() map[string]any {
 		"max_series_len":   c.MaxSeriesLen,
 		"max_concurrent":   c.MaxConcurrent,
 		"workers":          c.Workers,
-		"autotune":         c.Autotune,
 		"trace_depth":      c.TraceDepth,
 		"coalesce": map[string]any{
 			"enabled":      c.Coalesce.Enabled,

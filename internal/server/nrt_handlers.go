@@ -134,7 +134,7 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
 			"capacity %d exceeds the limit %d", req.Capacity, s.cfg.NRT.MaxCapacity)
 	}
-	if len(s.nrtMgr.List()) >= s.cfg.NRT.MaxSessions {
+	if s.nrtMgr.Len() >= s.cfg.NRT.MaxSessions {
 		return nil, errf(http.StatusTooManyRequests, CodeRateLimited,
 			"session limit %d reached; delete a session first", s.cfg.NRT.MaxSessions)
 	}
@@ -178,11 +178,10 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	if len(req.Dates) == 0 {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "dates is required")
 	}
-	info, err := s.nrtMgr.Get(req.Session)
+	m, err := s.nrtMgr.Pixels(req.Session)
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
 	}
-	m := info.Pixels
 	tr.Pixels = m
 	flat := s.getPackBuf(len(req.Dates) * m)
 	defer s.putPackBuf(flat)
